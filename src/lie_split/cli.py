@@ -314,12 +314,14 @@ def _cmd_fig2(args, cfg) -> int:
     norms = (cfg.norms if cfg else None) or (0.5, 2.5)
     if args.norms is not None:
         norms = _parse_floats(args.norms, "--norms")
+    precision = _pick(args.precision, cfg.precision if cfg else None, "double")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    kit = kit_for(precision)
     curve_sets = [run_fig2(seed=seed + trial, norms=norms, n_max=args.n_max,
-                           dimension=dimension)
+                           dimension=dimension, kit=kit)
                   for trial in range(args.trials)]
-    lines = fig2_csv_lines(_mean_curves(curve_sets), seed)
+    lines = fig2_csv_lines(_mean_curves(curve_sets), seed, precision)
     out = args.out or (cfg.out if cfg else None) or "fig2.csv"
     write_lines(out, lines)
     print(out)

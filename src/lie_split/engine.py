@@ -17,16 +17,20 @@ with every even-degree exponent vanishing identically.  The recursion below
 maintains two rows of homogeneous elements per odd level k: the "left" row
 (log-derivative of the left-peeled remainder, sign-alternating updates) and
 the "right" row (log-derivative of the right closing product).  The exponent
-of the next level is a scaled difference of the two rows.
+of the next level is a scaled difference of the two rows.  Each row is one
+stack (``series.stack_ops``): for float64 matrices a (top+1, n, n) array
+advanced by one broadcast bracket per ad power, otherwise a list advanced by
+one module call per entry.  Every 1/j! is folded into the step that builds
+the j-th power, so intermediates stay the size of the terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional
+from typing import Dict
 
-from .series import TruncSeries, exp_factor
+from .series import ListStack, TruncSeries, exp_factor, stack_ops
 
 
 # ---------------------------------------------------------------------------
@@ -37,79 +41,63 @@ def _is_zero(mod, v) -> bool:
     return probe(v) if probe is not None else False
 
 
-def _seed_rows(mod, x, y, top: int):
-    """Rows at level 1 for l = 0..top.
+def _seed_rows(mod, ops, x, y, top: int):
+    """Rows at level 1 for l = 0..top, as stacks.
 
     left[0] = right[0] = (x + y)/2
     left[l] = ((-1)^l / 2^l) * ( ad_y^l x / (2 l!)
               + sum_{j=0..l} ad_y^(l-j) ad_x^j y / (j! (l-j)!) )
     right[l] = ad_y^l x / (l! 2^(l+1))
+
+    Built over one stack W_m = ad_y^m [x, b_0, ..., b_top] / m!, advanced one
+    ad_y step (over every entry at once) per m, with b_0 = y and
+    b_j = 2 ad_x^j y / j!.  Entry 0 gives ad_y^m x / m!; the others, summed
+    along anti-diagonals j + m = l, give twice the sum above.  The j = 0
+    entry only reaches l = 0 (ad_y y = 0), which is replaced by (x+y)/2, so
+    the doubling rides on the first ad_x step instead of costing a scaling.
     """
+    col = [x, y]
+    for j in range(1, top + 1):
+        c = Fraction(2) if j == 1 else Fraction(1, j)
+        col.append(mod.scale(c, mod.bracket(x, col[-1])))
+    w = ops.stack(col, top + 2)
     ady_x = [x]
-    for _ in range(top):
-        ady_x.append(mod.bracket(y, ady_x[-1]))
-    adx_y = [y]
-    for _ in range(top):
-        adx_y.append(mod.bracket(x, adx_y[-1]))
-    # triangle[j][m] = ad_y^m ad_x^j y for j + m <= top
-    triangle: List[List] = []
-    for j in range(top + 1):
-        col = [adx_y[j]]
-        for _ in range(top - j):
-            col.append(mod.bracket(y, col[-1]))
-        triangle.append(col)
+    twice = ops.copy(w[1:])
+    for m in range(1, top + 1):
+        w = ops.ad(y, w[:top + 2 - m], Fraction(1, m))
+        ady_x.append(ops.entry(w, 0))
+        ops.add_into(twice, m, w[1:])
 
     half_sum = mod.scale(Fraction(1, 2), mod.add(x, y))
     left = [half_sum]
     right = [half_sum]
     for l in range(1, top + 1):
-        right.append(mod.scale(Fraction(1, factorial(l) * 2 ** (l + 1)), ady_x[l]))
-        acc = mod.scale(Fraction(1, 2 * factorial(l)), ady_x[l])
-        for j in range(l + 1):
-            c = Fraction(1, factorial(j) * factorial(l - j))
-            acc = mod.add(acc, mod.scale(c, triangle[j][l - j]))
-        left.append(mod.scale(Fraction((-1) ** l, 2 ** l), acc))
-    return left, right
-
-
-def seed_left(l: int, x, y, mod) -> object:
-    """Level-1 left-row seed at index l (see _seed_rows)."""
-    if l < 0:
-        raise ValueError("seed index must be nonnegative")
-    return _seed_rows(mod, x, y, l)[0][l]
-
-
-def seed_right(l: int, x, y, mod) -> object:
-    """Level-1 right-row seed at index l."""
-    if l < 0:
-        raise ValueError("seed index must be nonnegative")
-    return _seed_rows(mod, x, y, l)[1][l]
+        left.append(mod.scale(Fraction((-1) ** l, 2 ** (l + 1)),
+                              mod.add(ady_x[l], twice[l])))
+        right.append(mod.scale(Fraction(1, 2 ** (l + 1)), ady_x[l]))
+    return ops.stack(left, top + 1), ops.stack(right, top + 1)
 
 
 # ---------------------------------------------------------------------------
 # Palindromic term recursion
 
-def _advance_row(mod, row, ck, k: int, sign: int):
-    """One level step: sums over the plain previous row, then the l = k-1
+def _advance_row(mod, ops, row, ck, k: int, sign: int):
+    """One level step over a row stack: new[m + k j] gets
+    (sign^j / j!) ad_{C_k}^j row[m] for every j >= 0, one ad step over the
+    whole shifted stack per j with its 1/j folded in; then the l = k-1
     entry is corrected by sign * k * C_k.  Corrections are never fed through
     ad_{C_k} at the same level, which keeps term lists free of bracket pairs
     that only cancel after expansion.
     """
     top = len(row) - 1
-    new = list(row)  # j = 0 contribution
-    ck_zero = _is_zero(mod, ck)
-    if not ck_zero:
-        for m in range(top + 1):
-            base = row[m]
-            if _is_zero(mod, base):
-                continue
-            acc = base
-            j = 1
-            while m + k * j <= top:
-                acc = mod.bracket(ck, acc)
-                c = Fraction(sign ** j, factorial(j))
-                new[m + k * j] = mod.add(new[m + k * j], mod.scale(c, acc))
-                j += 1
+    new = ops.copy(row)  # j = 0 contribution
+    if not _is_zero(mod, ck):
+        power = ops.nonzero(row[:top + 1 - k])
+        j = 1
+        while k * j <= top:
+            power = ops.ad(ck, power[:top + 1 - k * j], Fraction(sign, j))
+            ops.add_into(new, k * j, power)
+            j += 1
     if k - 1 <= top:
         new[k - 1] = mod.add(new[k - 1], mod.scale(Fraction(sign * k), ck))
     return new
@@ -119,20 +107,22 @@ def symmetric_terms(mod, x, y, max_degree: int) -> Dict[int, object]:
     """Palindromic splitting exponents C_3, C_5, ..., C_max_degree.
 
     max_degree must be odd and at least 3.  Even-degree exponents vanish
-    identically and are never materialized.
+    identically and are never materialized.  The two rows are stacks of the
+    module's kind (see ``series.stack_ops``).
     """
     if max_degree < 3 or max_degree % 2 == 0:
         raise ValueError("max_degree must be an odd integer >= 3")
     top = max_degree - 1
-    row_l, row_r = _seed_rows(mod, x, y, top)
+    ops = stack_ops(mod)
+    row_l, row_r = _seed_rows(mod, ops, x, y, top)
     terms: Dict[int, object] = {
         3: mod.scale(Fraction(1, 6), mod.sub(row_l[2], row_r[2]))
     }
     k = 3
     while k + 2 <= max_degree:
         ck = terms[k]
-        row_l = _advance_row(mod, row_l, ck, k, sign=-1)
-        row_r = _advance_row(mod, row_r, ck, k, sign=+1)
+        row_l = _advance_row(mod, ops, row_l, ck, k, sign=-1)
+        row_r = _advance_row(mod, ops, row_r, ck, k, sign=+1)
         terms[k + 2] = mod.scale(
             Fraction(1, 2 * (k + 2)), mod.sub(row_l[k + 1], row_r[k + 1])
         )
@@ -155,7 +145,7 @@ def symmetric_rows_inside_sum(mod, x, y, max_degree: int):
     if max_degree < 3 or max_degree % 2 == 0:
         raise ValueError("max_degree must be an odd integer >= 3")
     top = max_degree - 1
-    row_l, row_r = _seed_rows(mod, x, y, top)
+    row_l, row_r = _seed_rows(mod, ListStack(mod), x, y, top)
     terms = {3: mod.scale(Fraction(1, 6), mod.sub(row_l[2], row_r[2]))}
     k = 3
     while k + 2 <= max_degree:

@@ -24,8 +24,8 @@ from mpmath import mp
 from . import __version__
 from .bounds import boundary_scan, converges, crude_r_sequence
 from .engine import standard_terms, symmetric_terms
-from .matrices import (MPKit, MatrixModule, MatrixSeriesAlgebra, NumpyKit,
-                       _scaled_terms, frechet_pair, kit_for, random_matrix)
+from .matrices import (MPKit, MatrixAlgebra, NumpyKit, _scaled_terms,
+                       frechet_pair, kit_for, random_matrix)
 from .scalars import UniPoly
 from .structconst import ScModule, bundled_algebra, collapse_middle
 
@@ -145,8 +145,8 @@ def run_fig2(seed: int = 0, norms: Sequence[float] = (0.5, 2.5),
             x, y = kit.from_numpy(x), kit.from_numpy(y)
         ref = kit.expm(kit.add(x, y))
 
-        sym = symmetric_terms(MatrixModule(kit, dimension), x, y, m_top)
-        std = standard_terms(MatrixSeriesAlgebra(kit, dimension), x, y, n_max)
+        sym = symmetric_terms(MatrixAlgebra(kit, dimension), x, y, m_top)
+        std = standard_terms(MatrixAlgebra(kit, dimension), x, y, n_max)
 
         half = Fraction(1, 2)
         xh = kit.expm(kit.scale(half, x))
@@ -179,8 +179,10 @@ def run_fig2(seed: int = 0, norms: Sequence[float] = (0.5, 2.5),
     return curves
 
 
-def fig2_csv_lines(curves: Sequence[ErrorCurve], seed: int) -> List[str]:
+def fig2_csv_lines(curves: Sequence[ErrorCurve], seed: int,
+                   precision: str = "double") -> List[str]:
     lines = [csv_header("fig2", seed),
+             f"# precision={precision}",
              "norm,n,error_symmetric,error_standard,carried"]
     for curve in curves:
         for (n, es, ed), flag in zip(curve.rows, curve.carried):
@@ -225,10 +227,10 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
     top = max(n_list)
     marks = set(n_list)
 
-    sym = symmetric_terms(MatrixModule(kit, 2), y, x, top)
+    sym = symmetric_terms(MatrixAlgebra(kit, 2), y, x, top)
     std = None
     if include_standard:
-        std = standard_terms(MatrixSeriesAlgebra(kit, 2), x, y, top)
+        std = standard_terms(MatrixAlgebra(kit, 2), x, y, top)
 
     half = Fraction(1, 2)
     rows: Dict[int, List[tuple]] = {n: [] for n in n_list}

@@ -4,9 +4,11 @@ evaluation of the splitting products.
 A *kit* bundles the matrix operations the rest of the code needs (arithmetic,
 exponential, norms) for one precision level: NumpyKit wraps float64/scipy,
 MPKit wraps mpmath at a configurable number of significant digits (>= 30 for
-the extended mode).  MatrixModule adapts a kit to the ad-module interface of
-the term recursion; MatrixSeriesAlgebra adapts it to the associative-algebra
-interface of the series peelers.
+the extended mode).  MatrixAlgebra adapts a kit to both the ad-module
+interface of the term recursion and the associative-algebra interface of the
+series peelers.  NumpyKit also supplies ArrayStack, which holds a row of
+coefficients as one (count, n, n) array, so the recursion and the series
+product run as broadcast matrix products instead of one call per entry.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ class NumpyKit:
     def frobenius(self, a):
         if not np.all(np.isfinite(a)):
             return float("inf")
-        return float(np.linalg.norm(a, "fro"))
+        # rescale first: squaring entries of size 1e154 and up overflows
+        peak = float(np.max(np.abs(a), initial=0.0))
+        if peak == 0.0:
+            return 0.0
+        return peak * float(np.linalg.norm(a / peak, "fro"))
 
     def power(self, base, exponent: int):
         return float(base) ** exponent
@@ -77,6 +83,70 @@ class NumpyKit:
 
     def to_float(self, x):
         return float(x)
+
+    def array_stacks(self, n: int) -> "ArrayStack":
+        return ArrayStack(n)
+
+
+class ArrayStack:
+    """Stack of float64 n x n matrices as one (count, n, n) array; the
+    operations of series.ListStack, each as one broadcast numpy call."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def stack(self, elems, length: int) -> np.ndarray:
+        if isinstance(elems, np.ndarray) and len(elems) == length:
+            return elems
+        out = np.zeros((length, self.n, self.n))
+        if len(elems):
+            out[:len(elems)] = elems
+        return out
+
+    def copy(self, s):
+        return s.copy()
+
+    def entry(self, s, i):
+        return s[i].copy()
+
+    def support(self, s) -> list:
+        return np.flatnonzero(s.reshape(len(s), -1).any(axis=1)).tolist()
+
+    def nonzero(self, s):
+        return s
+
+    def scale(self, c, s):
+        return float(c) * s
+
+    def ad(self, c, s, coef):
+        with np.errstate(all="ignore"):
+            out = c @ s
+            out -= s @ c
+            out *= float(coef)
+        return out
+
+    def add_into(self, dst, offset: int, src) -> None:
+        dst[offset:offset + len(src)] += src
+
+    def mul_into(self, dst, offset: int, a, s, idx) -> None:
+        # slices, not fancy indexing: gathering and scattering the operands
+        # costs several times the products themselves at n = 50
+        with np.errstate(all="ignore"):
+            for start, stop in _runs(idx):
+                dst[offset + start:offset + stop] += a @ s[start:stop]
+
+
+def _runs(idx):
+    """An ascending index list as (start, stop) runs of consecutive indices."""
+    runs = []
+    start = prev = idx[0]
+    for i in idx[1:]:
+        if i != prev + 1:
+            runs.append((start, prev + 1))
+            start = i
+        prev = i
+    runs.append((start, prev + 1))
+    return runs
 
 
 class MPKit:
@@ -163,15 +233,23 @@ def kit_for(precision: str):
     raise ValueError(f"unknown precision mode {precision!r}")
 
 
-class MatrixModule:
-    """Ad-module over a kit's matrices."""
+class MatrixAlgebra:
+    """A kit's n x n matrices as an ad-module (zero/add/sub/scale/bracket)
+    for the term recursion and as an associative algebra (unit/mul) for
+    series peeling.  ``stacks`` is the kit's array stack where it has one
+    (NumpyKit), else None and the engine falls back to list stacks."""
 
     def __init__(self, kit, n: int):
         self.kit = kit
         self.n = n
+        make = getattr(kit, "array_stacks", None)
+        self.stacks = make(n) if make is not None else None
 
     def zero(self):
         return self.kit.zeros(self.n)
+
+    def unit(self):
+        return self.kit.eye(self.n)
 
     def add(self, a, b):
         return self.kit.add(a, b)
@@ -184,29 +262,6 @@ class MatrixModule:
 
     def bracket(self, a, b):
         return self.kit.bracket(a, b)
-
-    def is_zero(self, a):
-        return self.kit.is_zero(a)
-
-
-class MatrixSeriesAlgebra:
-    """Associative-algebra view of a kit's matrices, for series peeling."""
-
-    def __init__(self, kit, n: int):
-        self.kit = kit
-        self.n = n
-
-    def zero(self):
-        return self.kit.zeros(self.n)
-
-    def unit(self):
-        return self.kit.eye(self.n)
-
-    def add(self, a, b):
-        return self.kit.add(a, b)
-
-    def scale(self, c, a):
-        return self.kit.scale(c, a)
 
     def mul(self, a, b):
         return self.kit.matmul(a, b)
@@ -279,7 +334,7 @@ def psi_symmetric(kit, x, y, lam, n: int,
     if terms is not None:
         scaled = _scaled_terms(kit, terms, lam)
     elif m >= 3:
-        mod = MatrixModule(kit, dim)
+        mod = MatrixAlgebra(kit, dim)
         scaled = symmetric_terms(mod, kit.scale(lam, x), kit.scale(lam, y), m)
     else:
         scaled = {}
@@ -310,7 +365,7 @@ def psi_standard(kit, x, y, lam, n: int,
     if terms is not None:
         scaled = _scaled_terms(kit, terms, lam)
     else:
-        alg = MatrixSeriesAlgebra(kit, dim)
+        alg = MatrixAlgebra(kit, dim)
         scaled = standard_terms(alg, kit.scale(lam, x), kit.scale(lam, y), n)
     prod = kit.matmul(kit.expm(kit.scale(lam, x)), kit.expm(kit.scale(lam, y)))
     for k in range(2, n + 1):

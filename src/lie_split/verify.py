@@ -20,8 +20,7 @@ from .engine import (oracle_symmetric_terms, palindromic_product_series,
 from .experiments import run_examples, run_fig2, run_fig3
 from .freelie import (FreeLieModule, LieCombo, bracket, collected_term_count,
                       expand_assoc, expands_equal, AssocPoly)
-from .matrices import (MatrixModule, MatrixSeriesAlgebra, NumpyKit,
-                       frechet_pair, random_matrix)
+from .matrices import MatrixAlgebra, NumpyKit, frechet_pair, random_matrix
 from .series import AssocPolyAlgebra, exp_factor
 
 
@@ -217,9 +216,9 @@ def _check_matrix_oracle() -> Tuple[bool, str]:
     for seed, target in ((101, 0.6), (103, 1.1)):
         x = random_matrix(5, target, seed)
         y = random_matrix(5, target, seed + 1)
-        mod = MatrixModule(kit, 5)
+        mod = MatrixAlgebra(kit, 5)
         terms = symmetric_terms(mod, x, y, 11)
-        oracle = oracle_symmetric_terms(MatrixSeriesAlgebra(kit, 5), x, y, 11)
+        oracle = oracle_symmetric_terms(MatrixAlgebra(kit, 5), x, y, 11)
         for k in range(3, 12, 2):
             rel = kit.norm2(kit.sub(terms[k], oracle[k])) / kit.norm2(terms[k])
             worst_pair = max(worst_pair, rel)

@@ -149,8 +149,9 @@ def test_fig2_csv_has_carried_column(tmp_path, capsys):
                      "--norms", "0.5", "--out", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[1] == "norm,n,error_symmetric,error_standard,carried"
-    assert len(lines) == 2 + 8
+    assert lines[1] == "# precision=double"
+    assert lines[2] == "norm,n,error_symmetric,error_standard,carried"
+    assert len(lines) == 3 + 8
 
 
 def test_fig2_trials_average_is_deterministic(tmp_path, capsys):

@@ -139,11 +139,11 @@ def test_palindromic_product_rebuilds_exponential():
 
 def test_terms_work_on_matrix_module_too():
     import numpy as np
-    from lie_split.matrices import MatrixModule, NumpyKit, random_matrix
+    from lie_split.matrices import MatrixAlgebra, NumpyKit, random_matrix
     kit = NumpyKit()
     x = random_matrix(4, 0.4, 11)
     y = random_matrix(4, 0.4, 12)
-    table = symmetric_terms(MatrixModule(kit, 4), x, y, 7)
+    table = symmetric_terms(MatrixAlgebra(kit, 4), x, y, 7)
     sym = expand_assoc(symmetric_terms(MOD, X, Y, 7)[7])
     direct = np.zeros((4, 4))
     for word, c in sym.terms.items():

@@ -100,8 +100,9 @@ def test_fig2_csv_lines_schema_and_determinism():
     curves = run_fig2(seed=3, norms=(0.5,), n_max=9, dimension=5)
     lines = fig2_csv_lines(curves, 3)
     assert lines[0] == csv_header("fig2", 3)
-    assert lines[1] == "norm,n,error_symmetric,error_standard,carried"
-    assert len(lines) == 2 + len(curves[0].rows)
+    assert lines[1] == "# precision=double"
+    assert lines[2] == "norm,n,error_symmetric,error_standard,carried"
+    assert len(lines) == 3 + len(curves[0].rows)
     again = fig2_csv_lines(run_fig2(seed=3, norms=(0.5,), n_max=9,
                                     dimension=5), 3)
     assert lines == again
@@ -115,6 +116,15 @@ def test_run_fig3_rows_and_accuracy_ordering():
     shallow = dict((row[0], row[1]) for row in curves[0].rows)
     deep = dict((row[0], row[1]) for row in curves[1].rows)
     assert deep[0.1] < shallow[0.1]
+
+
+def test_run_fig3_deep_degree_does_not_overflow():
+    curves = run_fig3(lam_grid=(0.13,), n_list=(201, 301),
+                      include_standard=False)
+    e201 = curves[0].rows[0][1]
+    e301 = curves[1].rows[0][1]
+    assert math.isfinite(e301)
+    assert e301 <= 10 * e201
 
 
 def test_run_fig3_validation():

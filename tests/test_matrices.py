@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from lie_split.matrices import (MPKit, MatrixModule, MatrixSeriesAlgebra,
-                                NumpyKit, frechet_pair, kit_for,
-                                load_matrix_csv, psi_standard, psi_symmetric,
+from lie_split.engine import symmetric_terms
+from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
+                                kit_for, load_matrix_csv, psi_standard, psi_symmetric,
                                 random_matrix, save_matrix_csv,
                                 splitting_error)
 
@@ -65,6 +65,25 @@ def test_norm2_of_overflowed_matrix_is_inf():
     kit = NumpyKit()
     a = np.array([[np.inf, 0.0], [0.0, 1.0]])
     assert kit.norm2(a) == math.inf
+
+
+def test_frobenius_of_huge_and_tiny_entries_stays_finite():
+    kit = NumpyKit()
+    for v in (1e160, 1e300, 1e-170):
+        a = np.full((2, 2), v)
+        assert kit.frobenius(a) == pytest.approx(2 * v, rel=1e-15)
+        assert kit.norm2(a) == pytest.approx(2 * v, rel=1e-15)
+    assert kit.frobenius(np.zeros((3, 3))) == 0.0
+    assert kit.frobenius(np.array([[np.nan, 0.0], [0.0, 1.0]])) == math.inf
+
+
+def test_terms_of_fig3_pair_stay_finite_at_degree_301():
+    kit = NumpyKit()
+    x, y = frechet_pair(kit, Fraction(1, 5))
+    for a, b in ((x, y), (y, x)):
+        terms = symmetric_terms(MatrixAlgebra(kit, 2), a, b, 301)
+        assert sorted(terms) == list(range(3, 302, 2))
+        assert all(np.all(np.isfinite(t)) for t in terms.values())
 
 
 def test_random_matrix_is_seeded_and_scaled():
@@ -141,8 +160,7 @@ def test_psi_precomputed_terms_match_direct_scaling():
     kit = NumpyKit()
     x = random_matrix(4, 0.6, 41)
     y = random_matrix(4, 0.6, 42)
-    from lie_split.engine import symmetric_terms
-    terms = symmetric_terms(MatrixModule(kit, 4), x, y, 7)
+    terms = symmetric_terms(MatrixAlgebra(kit, 4), x, y, 7)
     lam = 0.3
     via_terms = psi_symmetric(kit, x, y, lam, 7, terms=terms)
     direct = psi_symmetric(kit, x, y, lam, 7)
@@ -180,8 +198,7 @@ def test_matrix_csv_round_trip_extended(tmp_path):
 
 def test_matrix_module_and_series_algebra_contracts():
     kit = NumpyKit()
-    mod = MatrixModule(kit, 3)
-    alg = MatrixSeriesAlgebra(kit, 3)
+    mod = alg = MatrixAlgebra(kit, 3)
     z = mod.zero()
     assert mod.is_zero(z)
     assert np.array_equal(alg.unit(), np.eye(3))
