@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
+from mpmath import mp
 
 from .bounds import boundary_scan, converges, crude_r_sequence
 from .engine import standard_terms, symmetric_terms
@@ -291,20 +292,25 @@ def _cmd_structconst(args) -> int:
     return 0
 
 
-def _mean_curves(curve_sets: List[List[ErrorCurve]]) -> List[ErrorCurve]:
-    """Pointwise arithmetic mean of matching curves from repeated trials."""
+def _mean_curves(curve_sets: List[List[ErrorCurve]],
+                 dps: int = 15) -> List[ErrorCurve]:
+    """Pointwise arithmetic mean of matching curves from repeated trials.
+    The mean keeps the values' type: floats stay floats, mpmath values
+    (extended precision) are averaged at ``dps`` digits."""
     first = curve_sets[0]
     if len(curve_sets) == 1:
         return first
     averaged = []
-    for idx, curve in enumerate(first):
-        rows = []
-        for row_idx, (value, _, _) in enumerate(curve.rows):
-            syms = [cs[idx].rows[row_idx][1] for cs in curve_sets]
-            stds = [cs[idx].rows[row_idx][2] for cs in curve_sets]
-            rows.append((value, float(np.mean(syms)), float(np.mean(stds))))
-        averaged.append(ErrorCurve(curve.label, curve.sweep, rows,
-                                   curve.carried))
+    with mp.workdps(dps):
+        for idx, curve in enumerate(first):
+            rows = []
+            for row_idx, (value, _, _) in enumerate(curve.rows):
+                syms = [cs[idx].rows[row_idx][1] for cs in curve_sets]
+                stds = [cs[idx].rows[row_idx][2] for cs in curve_sets]
+                rows.append((value, sum(syms) / len(syms),
+                             sum(stds) / len(stds)))
+            averaged.append(ErrorCurve(curve.label, curve.sweep, rows,
+                                       curve.carried))
     return averaged
 
 
@@ -321,7 +327,8 @@ def _cmd_fig2(args, cfg) -> int:
     curve_sets = [run_fig2(seed=seed + trial, norms=norms, n_max=args.n_max,
                            dimension=dimension, kit=kit)
                   for trial in range(args.trials)]
-    lines = fig2_csv_lines(_mean_curves(curve_sets), seed, precision)
+    dps = kit.dps if isinstance(kit, MPKit) else 15
+    lines = fig2_csv_lines(_mean_curves(curve_sets, dps), seed, precision)
     out = args.out or (cfg.out if cfg else None) or "fig2.csv"
     write_lines(out, lines)
     print(out)

@@ -84,9 +84,6 @@ class NumpyKit:
     def to_float(self, x):
         return float(x)
 
-    def array_stacks(self, n: int) -> "ArrayStack":
-        return ArrayStack(n)
-
 
 class ArrayStack:
     """Stack of float64 n x n matrices as one (count, n, n) array; the
@@ -242,8 +239,7 @@ class MatrixAlgebra:
     def __init__(self, kit, n: int):
         self.kit = kit
         self.n = n
-        make = getattr(kit, "array_stacks", None)
-        self.stacks = make(n) if make is not None else None
+        self.stacks = ArrayStack(n) if isinstance(kit, NumpyKit) else None
 
     def zero(self):
         return self.kit.zeros(self.n)

@@ -165,6 +165,27 @@ def test_fig2_trials_average_is_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+def _significant_digits(field):
+    mantissa = field.lstrip("-").split("e")[0]
+    return len(mantissa.replace(".", "").lstrip("0"))
+
+
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_fig2_extended_precision_keeps_its_digits(tmp_path, capsys, trials):
+    target = tmp_path / "f2.csv"
+    code, _, _ = run(capsys, "fig2", "--dimension", "3", "--n-max", "7",
+                     "--norms", "0.5", "--precision", "extended",
+                     "--trials", trials, "--out", str(target))
+    assert code == 0
+    lines = target.read_text().splitlines()
+    assert lines[1] == "# precision=extended"
+    rows = [line.split(",") for line in lines[3:]]
+    assert len(rows) == 6
+    for row in rows:
+        assert _significant_digits(row[2]) > 17
+        assert _significant_digits(row[3]) > 17
+
+
 def test_fig3_small_grid(tmp_path, capsys):
     target = tmp_path / "f3.csv"
     code, _, _ = run(capsys, "fig3", "--lam-grid", "0.13", "--n-list", "5",
@@ -184,6 +205,19 @@ def test_config_supplies_defaults(tmp_path, capsys):
     code, _, _ = run(capsys, "fig2", "--config", str(cfg), "--n-max", "7")
     assert code == 0
     assert out_path.read_text().splitlines()[0].endswith("seed=4")
+
+
+def test_config_precision_selects_extended(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out_path = tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"experiment": "fig2", "dimension": 3,
+                               "norms": [0.5], "precision": "extended",
+                               "out": str(out_path)}))
+    code, _, _ = run(capsys, "fig2", "--config", str(cfg), "--n-max", "7")
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[1] == "# precision=extended"
+    assert _significant_digits(lines[3].split(",")[2]) > 17
 
 
 def test_bad_config_key_exits_one(tmp_path, capsys):
