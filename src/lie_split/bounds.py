@@ -1,31 +1,41 @@
 """Norm-bound recursions for the palindromic splitting and the convergence
 domain they certify.
 
-Both recursions have the same shape as the term recursion, with brackets
-replaced by products of norms: two rows of nonnegative scalars advance
-through odd levels k, each level yields a bound delta_k on the degree-k
-exponent norm, and the splitting converges where the tail ratio
+Both recursions have the shape of the term recursion, with brackets replaced
+by products of norms. Each odd level k yields a bound delta_k on the norm of
+the degree-k exponent, and the splitting converges where the tail ratio
 delta_{k+2}/delta_k stays below one.
 
-The *crude* variant is scale free (it bounds coefficients with x = y = 1 and
-convergence is then governed by lambda(x+y)); the *refined* variant keeps the
+The crude variant is scale free: it bounds coefficients with x = y = 1, and
+convergence is then governed by lambda(x+y). The refined variant keeps the
 two norms x, y separate, which certifies a much larger, asymmetric domain.
 
-All rows are computed in 64-bit floats with a guard: whenever any entry
-leaves [1e-300, 1e300] the computation restarts transparently in log space
-(factorial seeds underflow around depth 170, so deep runs take the log path).
-Ratios and verdicts always come from logs, immune to overflow.
+The term recursion carries two rows, but the level step is linear in them
+and delta_k reads only their sum, so one summed row S carries the bounds:
+
+    seeds    crude:   S[l] = 3 / (2 l!)
+             refined: S[0] = x + y,  S[l] = (y^l x + y (x+y)^l) / l!
+    level k  delta_k = S[k-1] / (2k)
+             S[l]   += sum_{j>=1} (2 delta_k)^j / j! * S[l-kj]
+             S[k-1] += 2k delta_k
+
+The row always lives in log space (the factorial seeds leave the double
+range from depth ~170 on), with np.logaddexp as the only kernel, and it is
+batched over points: one recursion advances a (P, depth) array of rows.
+The search for the domain boundary runs every point in lockstep, one batched
+recursion per round of doubling or bisection.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-_LINEAR_LO = 1e-300
-_LINEAR_HI = 1e300
+# The boundary search probes no y above this; a power of two, so the
+# doubling from y = 1 lands on it exactly.
+Y_CAP = 8.0
 _TAIL = 10  # ratios averaged for the limit estimate
 
 
@@ -33,137 +43,60 @@ def _log_factorials(top: int) -> np.ndarray:
     return np.array([math.lgamma(l + 1) for l in range(top + 1)])
 
 
-def crude_log_seeds(top: int) -> Tuple[np.ndarray, np.ndarray]:
-    """log of 1/l! and 1/(2 l!) for l = 0..top."""
-    lf = _log_factorials(top)
-    return -lf, -lf - math.log(2.0)
+def _log(v: float) -> float:
+    return math.log(v) if v > 0 else -math.inf
 
 
-def refined_log_seeds(x: float, y: float, top: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Norm-aware level-1 rows, in logs.
+def crude_log_row(top: int) -> np.ndarray:
+    """log of 3/(2 l!) for l = 0..top, as a batch of one row."""
+    return (math.log(1.5) - _log_factorials(top))[None, :]
 
-    main[0] = tilde[0] = (x+y)/2
-    main[l] = ( y^l x / 2 + y (x+y)^l ) / l!
-    tilde[l] = y^l x / (2 l!)
+
+def refined_log_rows(xs: Sequence[float], ys: Sequence[float],
+                     top: int) -> np.ndarray:
+    """Norm-aware level-1 summed rows, in logs, one row per point (x, y):
+
+    S[0] = x + y
+    S[l] = ( y^l x + y (x+y)^l ) / l!
     """
-    if x < 0 or y < 0:
+    if min(xs) < 0 or min(ys) < 0:
         raise ValueError("norms must be nonnegative")
-    lf = _log_factorials(top)
+    lx = np.array([_log(x) for x in xs])[:, None]
+    ly = np.array([_log(y) for y in ys])[:, None]
+    lxy = np.array([_log(x + y) for x, y in zip(xs, ys)])[:, None]
     ls = np.arange(top + 1, dtype=float)
-    lx = math.log(x) if x > 0 else -math.inf
-    ly = math.log(y) if y > 0 else -math.inf
-    lxy = math.log(x + y) if x + y > 0 else -math.inf
-    half = math.log(2.0)
-    # 0 * (-inf) at l = 0 produces a transient nan; both rows get their
-    # l = 0 entry overwritten right below, so the invalid flag is noise
+    # 0 * (-inf) at l = 0 produces a transient nan; column 0 is overwritten
+    # right below, so the invalid flag is noise
     with np.errstate(invalid="ignore"):
-        term_a = ls * ly + lx - half      # y^l x / 2
-        term_b = ly + ls * lxy            # y (x+y)^l
-        main = np.logaddexp(term_a, term_b) - lf
-    tilde = term_a - lf
-    l0 = lxy - half                       # (x+y)/2
-    main[0] = l0
-    tilde[0] = l0
-    return main, tilde
+        rows = np.logaddexp(ls * ly + lx, ly + ls * lxy) - _log_factorials(top)
+    rows[:, 0] = lxy[:, 0]
+    return rows
 
 
-def _advance_log_row(row: np.ndarray, log_delta: float, k: int) -> np.ndarray:
-    """Level step in log space: out[l] = logsum_j [ (2 delta)^j / j! row[l-kj] ],
-    then out[k-1] gains k*delta (the two-line correction)."""
-    top = len(row) - 1
-    new = row.copy()
-    if log_delta != -math.inf:
-        base = math.log(2.0) + log_delta
-        j = 1
-        while k * j <= top:
-            shift = j * base - math.lgamma(j + 1)
-            new[k * j:] = np.logaddexp(new[k * j:], row[: top + 1 - k * j] + shift)
-            j += 1
-        new[k - 1] = np.logaddexp(math.log(k) + log_delta, row[k - 1])
-    return new
+def _log_deltas(rows: np.ndarray, depth: int) -> np.ndarray:
+    """log delta_k for odd k = 3..depth, one row per seed row.
 
-
-def _advance_linear_row(row: np.ndarray, delta: float, k: int) -> np.ndarray:
-    top = len(row) - 1
-    new = row.copy()
-    if delta > 0:
-        base = 2.0 * delta
-        j = 1
-        while k * j <= top:
-            shift = base ** j / math.factorial(j)
-            new[k * j:] += row[: top + 1 - k * j] * shift
-            j += 1
-        new[k - 1] = k * delta + row[k - 1]
-    return new
-
-
-def _linear_ok(row: np.ndarray) -> bool:
-    if not np.all(np.isfinite(row)):
-        return False
-    nz = row[row != 0]
-    if nz.size == 0:
-        return True
-    return bool(np.all(nz >= _LINEAR_LO) and np.all(nz <= _LINEAR_HI))
-
-
-def _log_deltas_from_seeds(main: np.ndarray, tilde: np.ndarray,
-                           depth: int) -> np.ndarray:
-    """delta_k in logs for odd k = 3..depth, via the log-space rows."""
-    deltas = []
-    k = 3
-    while k <= depth:
-        ld = np.logaddexp(main[k - 1], tilde[k - 1]) - math.log(2 * k)
-        deltas.append(ld)
-        if k + 2 > depth:
-            break
-        main = _advance_log_row(main, ld, k)
-        tilde = _advance_log_row(tilde, ld, k)
-        k += 2
-    return np.array(deltas)
-
-
-def _deltas_linear_from_seeds(main: np.ndarray, tilde: np.ndarray,
-                              depth: int):
-    """Linear-path twin of the above; returns None when the guard trips."""
-    if not (_linear_ok(main) and _linear_ok(tilde)):
-        return None
-    deltas = []
-    k = 3
-    while k <= depth:
-        d = (main[k - 1] + tilde[k - 1]) / (2 * k)
-        deltas.append(d)
-        if k + 2 > depth:
-            break
-        main = _advance_linear_row(main, d, k)
-        tilde = _advance_linear_row(tilde, d, k)
-        if not (_linear_ok(main) and _linear_ok(tilde)):
-            return None
-        k += 2
-    return np.array(deltas)
-
-
-def _seeds_fit_linear(logs: np.ndarray) -> bool:
-    finite = logs[np.isfinite(logs)]
-    return bool(
-        np.all(finite >= math.log(_LINEAR_LO))
-        and np.all(finite <= math.log(_LINEAR_HI))
-    )
-
-
-def _log_deltas(seed_fn: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                depth: int) -> np.ndarray:
+    rows is a (P, depth) array of log seeds; the result is (P, (depth-1)/2).
+    """
     if depth < 3 or depth % 2 == 0:
         raise ValueError("depth must be an odd integer >= 3")
-    log_main, log_tilde = seed_fn()
-    if _seeds_fit_linear(log_main) and _seeds_fit_linear(log_tilde):
-        with np.errstate(over="ignore"):
-            linear = _deltas_linear_from_seeds(
-                np.exp(log_main), np.exp(log_tilde), depth
-            )
-        if linear is not None:
-            with np.errstate(divide="ignore"):
-                return np.log(linear)
-    return _log_deltas_from_seeds(log_main, log_tilde, depth)
+    top = depth - 1
+    row = rows
+    deltas = []
+    for k in range(3, depth + 1, 2):
+        ld = row[:, k - 1] - math.log(2 * k)
+        deltas.append(ld)
+        if k == depth:
+            break
+        new = row.copy()
+        base = (math.log(2.0) + ld)[:, None]
+        for j in range(1, top // k + 1):
+            shift = j * base - math.lgamma(j + 1)
+            tail = new[:, k * j:]
+            np.logaddexp(tail, row[:, :top + 1 - k * j] + shift, out=tail)
+        new[:, k - 1] = np.logaddexp(math.log(2 * k) + ld, row[:, k - 1])
+        row = new
+    return np.stack(deltas, axis=1)
 
 
 def _tail_ratio(log_deltas: np.ndarray) -> float:
@@ -181,6 +114,45 @@ def _tail_ratio(log_deltas: np.ndarray) -> float:
     return float(np.exp(np.mean(finite)))
 
 
+def _tail_ratios(xs: Sequence[float], ys: Sequence[float],
+                 depth: int) -> List[float]:
+    if depth < 21:
+        raise ValueError("depth must be at least 21 for a stable verdict")
+    logs = _log_deltas(refined_log_rows(xs, ys, depth - 1), depth)
+    return [_tail_ratio(row) for row in logs]
+
+
+def _y_max_search(fixed: Sequence[float], swapped: Sequence[bool],
+                  depth: int, tol: float) -> np.ndarray:
+    """Largest y (within tol) with (x, y) certified, or (y, x) where swapped,
+    for every fixed coordinate x.
+
+    Each point doubles y from 1 while the probe converges and y <= Y_CAP,
+    then bisects; all points advance in lockstep, one batched recursion per
+    round over the probes of the points still searching. A point that
+    reaches the cap ends with lo == Y_CAP.
+    """
+    fixed = np.asarray(fixed, dtype=float)
+    swapped = np.asarray(swapped, dtype=bool)
+    lo = np.zeros(len(fixed))
+    hi = np.ones(len(fixed))
+    doubling = np.ones(len(fixed), dtype=bool)
+    while True:
+        active = np.where(doubling, hi <= Y_CAP, hi - lo > tol)
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            return lo
+        probe = np.where(doubling, hi, 0.5 * (lo + hi))[idx]
+        xs = np.where(swapped[idx], probe, fixed[idx])
+        ys = np.where(swapped[idx], fixed[idx], probe)
+        ok = np.array(_tail_ratios(xs.tolist(), ys.tolist(), depth)) < 1.0
+        grow = doubling[idx]
+        lo[idx] = np.where(ok, probe, lo[idx])
+        hi[idx] = np.where(grow & ok, 2.0 * probe,
+                           np.where(ok, hi[idx], probe))
+        doubling[idx] = grow & ok
+
+
 # ---------------------------------------------------------------------------
 # Public surface
 
@@ -192,8 +164,7 @@ def crude_r_sequence(depth: int = 401):
     """
     if depth < 21:
         raise ValueError("depth must be at least 21 for a stable limit")
-    top = depth - 1
-    logs = _log_deltas(lambda: crude_log_seeds(top), depth)
+    logs = _log_deltas(crude_log_row(depth - 1), depth)[0]
     ratio = _tail_ratio(logs)
     ks = np.arange(3, depth + 1, 2)
     return ks, np.exp(logs), ratio, 1.0 / math.sqrt(ratio)
@@ -203,10 +174,16 @@ def refined_deltas(x: float, y: float, depth: int = 401) -> np.ndarray:
     """Norm-aware bounds delta_3, delta_5, ... delta_depth for given x, y.
     Values that leave the double range come back saturated (0 or inf); use
     converges() for verdicts, it works on logs throughout."""
-    top = depth - 1
-    logs = _log_deltas(lambda: refined_log_seeds(x, y, top), depth)
+    logs = _log_deltas(refined_log_rows([x], [y], depth - 1), depth)[0]
     with np.errstate(over="ignore"):
         return np.exp(logs)
+
+
+def converges_many(points: Sequence[Tuple[float, float]],
+                   depth: int = 401) -> List[Tuple[bool, float]]:
+    """converges() for every (x, y) in points, in one batched recursion."""
+    xs, ys = zip(*points)
+    return [(ratio < 1.0, ratio) for ratio in _tail_ratios(xs, ys, depth)]
 
 
 def converges(x: float, y: float, depth: int = 401) -> Tuple[bool, float]:
@@ -215,32 +192,14 @@ def converges(x: float, y: float, depth: int = 401) -> Tuple[bool, float]:
     Returns (verdict, ratio_tail): the geometric mean of the last ten ratios
     delta_{k+2}/delta_k; the verdict is ratio_tail < 1.
     """
-    if depth < 21:
-        raise ValueError("depth must be at least 21 for a stable verdict")
-    top = depth - 1
-    logs = _log_deltas(lambda: refined_log_seeds(x, y, top), depth)
-    ratio = _tail_ratio(logs)
-    return ratio < 1.0, ratio
+    return converges_many([(x, y)], depth)[0]
 
 
-def y_max(x: float, depth: int = 401, tol: float = 1e-3,
-          y_cap: float = 8.0) -> float:
+def y_max(x: float, depth: int = 401, tol: float = 1e-3) -> float:
     """Largest y (within tol) with a certified-convergent (x, y), by
-    doubling then bisection.  (x, 0) always converges."""
-    lo = 0.0
-    hi = 1.0
-    while hi <= y_cap and converges(x, hi, depth)[0]:
-        lo = hi
-        hi *= 2.0
-    if hi > y_cap:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if converges(x, mid, depth)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    doubling then bisection.  (x, 0) always converges.  The search stops at
+    Y_CAP: a return value equal to Y_CAP means (x, Y_CAP) still converges."""
+    return float(_y_max_search([x], [False], depth, tol)[0])
 
 
 def boundary_scan(x_values: Sequence[float], depth: int = 401,
@@ -249,29 +208,14 @@ def boundary_scan(x_values: Sequence[float], depth: int = 401,
 
     With mirror=True each row takes the larger of the direct bound and the
     bound of the role-swapped splitting (largest y with (y, x) certified),
-    i.e. the union of the domain with its reflection.
+    i.e. the union of the domain with its reflection.  A row equal to Y_CAP
+    hit the cap.  All searches, direct and swapped, run in lockstep.
     """
-    out = []
-    for x in x_values:
-        ym = y_max(x, depth, tol)
-        if mirror:
-            ym = max(ym, _y_max_swapped(x, depth, tol))
-        out.append((float(x), ym))
-    return out
-
-
-def _y_max_swapped(x: float, depth: int, tol: float, y_cap: float = 8.0) -> float:
-    lo = 0.0
-    hi = 1.0
-    while hi <= y_cap and converges(hi, x, depth)[0]:
-        lo = hi
-        hi *= 2.0
-    if hi > y_cap:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if converges(mid, x, depth)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    xs = [float(x) for x in x_values]
+    n = len(xs)
+    if mirror:
+        ym = _y_max_search(xs + xs, [False] * n + [True] * n, depth, tol)
+        ym = np.maximum(ym[:n], ym[n:])
+    else:
+        ym = _y_max_search(xs, [False] * n, depth, tol)
+    return [(x, float(v)) for x, v in zip(xs, ym)]

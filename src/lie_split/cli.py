@@ -18,11 +18,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 from mpmath import mp
 
-from .bounds import boundary_scan, converges, crude_r_sequence
+from .bounds import converges_many
 from .engine import standard_terms, symmetric_terms
-from .experiments import (ExperimentConfig, boundary_csv_lines, csv_header,
-                          fig2_csv_lines, fig3_csv_lines, load_config,
-                          run_fig2, run_fig3, write_lines, ErrorCurve)
+from .experiments import (ExperimentConfig, csv_header, fig2_csv_lines,
+                          fig3_csv_lines, load_config, run_fig2, run_fig3,
+                          write_boundary_csv, write_lines, ErrorCurve)
 from .freelie import (FreeLieModule, LieCombo, collected_term_count,
                       combo_to_json, expand_assoc)
 from .matrices import (MPKit, NumpyKit, kit_for, load_matrix_csv,
@@ -231,8 +231,10 @@ def _cmd_convergence(args, cfg) -> int:
         raise ValueError("convergence needs exactly one of --scan or --point")
     if args.point is not None:
         xn, yn = args.point
-        verdict, ratio = converges(xn, yn, args.depth)
-        print(f"converges={'true' if verdict else 'false'} ratio_tail={ratio}")
+        points = [(xn, yn), (yn, xn)] if args.mirror else [(xn, yn)]
+        ratio = min(r for _, r in converges_many(points, args.depth))
+        print(f"converges={'true' if ratio < 1.0 else 'false'} "
+              f"ratio_tail={ratio}")
         return 0
     parts = args.scan.split(":")
     if len(parts) != 3:
@@ -244,13 +246,8 @@ def _cmd_convergence(args, cfg) -> int:
     if steps < 2 or x1 <= x0:
         raise ValueError("scan needs x1 > x0 and at least 2 steps")
     grid = np.linspace(x0, x1, steps)
-    rows = boundary_scan(grid, args.depth, tol=1e-3, mirror=args.mirror)
-    threshold = crude_r_sequence(args.depth)[3]
-    points = [(0.5, 0.5, converges(0.5, 0.5, args.depth)[0]),
-              (2.5, 2.5, converges(2.5, 2.5, args.depth)[0])]
-    lines = boundary_csv_lines(rows, args.depth, seed, threshold, points)
     out = args.out or (cfg.out if cfg else None) or "boundary.csv"
-    write_lines(out, lines)
+    write_boundary_csv(grid, args.depth, seed, args.mirror, out)
     print(out)
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import mp
 
 from . import __version__
-from .bounds import boundary_scan, converges, crude_r_sequence
+from .bounds import Y_CAP, boundary_scan, converges_many, crude_r_sequence
 from .engine import standard_terms, symmetric_terms
 from .matrices import (MPKit, MatrixAlgebra, NumpyKit, _scaled_terms,
                        frechet_pair, kit_for, random_matrix)
@@ -288,31 +288,42 @@ def boundary_csv_lines(rows: Sequence[Tuple[float, float]], depth: int,
     for px, py, inside in points:
         lines.append(f"# point x={_fmt(px)} y={_fmt(py)} "
                      f"inside={'true' if inside else 'false'}")
+    for x, ym in rows:
+        if ym == Y_CAP:
+            lines.append(f"# y_cap={_fmt(Y_CAP)} reached at x={_fmt(x)}")
     lines.append("x,y_max,depth")
     for x, ym in rows:
         lines.append(f"{_fmt(x)},{_fmt(ym)},{depth}")
     return lines
 
 
+def write_boundary_csv(x_values: Sequence[float], depth: int, seed: int,
+                       mirror: bool, path) -> None:
+    """Scan the boundary over x_values and write its CSV to path.
+
+    The crude all-commutator threshold and the classification of the two
+    random-pair norm settings (0.5, 0.5) and (2.5, 2.5) ride along as
+    comment lines, as does every row where the search hit Y_CAP.
+    """
+    if depth < 21:
+        raise ValueError("boundary scans need depth at least 21")
+    rows = boundary_scan(x_values, depth, tol=1e-3, mirror=mirror)
+    threshold = crude_r_sequence(depth)[3]
+    pairs = ((0.5, 0.5), (2.5, 2.5))
+    points = [(px, py, inside) for (px, py), (inside, _)
+              in zip(pairs, converges_many(pairs, depth))]
+    write_lines(path, boundary_csv_lines(rows, depth, seed, threshold, points))
+
+
 def run_boundary_csv(config: ExperimentConfig) -> str:
     """Scan the domain boundary and write the CSV; returns the path written.
 
     Grid: x = 0.001 then 0.05..2.0 in steps of 0.05, mirrored so the rows
-    describe the union of the domain and its x<->y reflection.  The crude
-    all-commutator threshold and the classification of the two random-pair
-    norm settings ride along as comment lines.
+    describe the union of the domain and its x<->y reflection.
     """
     depth = config.max_degree if config.max_degree is not None else 401
-    if depth < 21:
-        raise ValueError("boundary scans need depth at least 21")
-    rows = boundary_scan(DEFAULT_X_GRID, depth=depth, tol=1e-3, mirror=True)
-    threshold = crude_r_sequence(depth)[3]
-    points = []
-    for px, py in ((0.5, 0.5), (2.5, 2.5)):
-        points.append((px, py, converges(px, py, depth)[0]))
-    lines = boundary_csv_lines(rows, depth, config.seed, threshold, points)
     path = config.out if config.out else "boundary.csv"
-    write_lines(path, lines)
+    write_boundary_csv(DEFAULT_X_GRID, depth, config.seed, True, path)
     return path
 
 

@@ -252,11 +252,6 @@ class ScViolation(NamedTuple):
     detail: str
 
 
-def sc_bracket(algebra: StructureConstantAlgebra,
-               u: ScElement, v: ScElement) -> ScElement:
-    return algebra.bracket(u, v)
-
-
 def sc_validate(algebra: StructureConstantAlgebra) -> Optional[ScViolation]:
     """Check antisymmetry and Jacobi exactly; None when the tensor is sound.
 

@@ -3,8 +3,81 @@ import math
 import numpy as np
 import pytest
 
-from lie_split.bounds import (boundary_scan, converges, crude_r_sequence,
-                              refined_deltas, y_max)
+from lie_split import bounds
+from lie_split.bounds import (Y_CAP, boundary_scan, converges, converges_many,
+                              crude_r_sequence, refined_deltas, y_max)
+
+
+# Reference: the two-row recursion in linear space, as it was written before
+# the rows were summed and moved to log space for good.
+
+def _reference_advance(row, delta, k):
+    top = len(row) - 1
+    new = row.copy()
+    for j in range(1, top // k + 1):
+        new[k * j:] += row[: top + 1 - k * j] * ((2.0 * delta) ** j
+                                                 / math.factorial(j))
+    new[k - 1] = k * delta + row[k - 1]
+    return new
+
+
+def _reference_deltas(main, tilde, depth):
+    deltas = []
+    for k in range(3, depth + 1, 2):
+        d = (main[k - 1] + tilde[k - 1]) / (2 * k)
+        deltas.append(d)
+        main = _reference_advance(main, d, k)
+        tilde = _reference_advance(tilde, d, k)
+    return np.array(deltas)
+
+
+def _reference_refined_seeds(x, y, top):
+    fact = np.array([float(math.factorial(l)) for l in range(top + 1)])
+    ls = np.arange(top + 1)
+    tilde = y ** ls * x / 2 / fact
+    main = (y ** ls * x / 2 + y * (x + y) ** ls) / fact
+    main[0] = tilde[0] = (x + y) / 2
+    return main, tilde
+
+
+def _reference_y_max(x, depth, swapped):
+    """Scalar doubling then bisection over converges(), point by point."""
+    def ok(v):
+        return converges(v, x, depth)[0] if swapped else converges(x, v, depth)[0]
+    lo, hi = 0.0, 1.0
+    while hi <= Y_CAP and ok(hi):
+        lo, hi = hi, 2.0 * hi
+    if hi > Y_CAP:
+        return lo
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _assert_rel_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.all((got == 0) == (want == 0))
+    nz = want != 0
+    assert np.max(np.abs(got[nz] - want[nz]) / want[nz], initial=0.0) <= rel
+
+
+@pytest.mark.parametrize("depth", [21, 41, 101])
+def test_refined_deltas_match_two_row_linear_reference(depth):
+    for x, y in ((0.7, 0.3), (0.5, 0.5), (0.001, 1.2), (1.8, 1.8),
+                 (0.0, 1.0), (5.0, 0.001)):
+        want = _reference_deltas(*_reference_refined_seeds(x, y, depth - 1),
+                                 depth)
+        _assert_rel_close(refined_deltas(x, y, depth), want, 1e-12)
+
+
+def test_crude_deltas_match_two_row_linear_reference():
+    fact = np.array([float(math.factorial(l)) for l in range(41)])
+    want = _reference_deltas(1.0 / fact, 0.5 / fact, 41)
+    _assert_rel_close(crude_r_sequence(41)[1], want, 1e-12)
 
 
 def test_crude_first_entry_is_exact():
@@ -101,3 +174,45 @@ def test_boundary_monotone_over_direct_branch():
     rows = boundary_scan(xs, 201)
     values = [ym for _, ym in rows]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_mirrored_scan_pins_parent_values():
+    # recorded from the default 41-point scan at depth 401 before the
+    # recursion was batched; the first row is the cap, not a boundary
+    xs = (0.001, 0.05225641025641026, 0.2572820512820513, 2.0)
+    rows = boundary_scan(xs, 401, mirror=True)
+    assert rows == [(0.001, 8.0), (0.05225641025641026, 4.947265625),
+                    (0.2572820512820513, 2.830078125), (2.0, 0.447265625)]
+    assert rows[0][1] == Y_CAP
+    assert y_max(0.001, 401) == 1.5390625
+
+
+def test_boundary_scan_matches_pointwise_search():
+    xs = (0.001, 0.3, 1.1)
+    direct = [_reference_y_max(x, 201, False) for x in xs]
+    swapped = [_reference_y_max(x, 201, True) for x in xs]
+    assert [y_max(x, 201) for x in xs] == direct
+    assert boundary_scan(xs, 201) == list(zip(xs, direct))
+    assert boundary_scan(xs, 201, mirror=True) == [
+        (x, max(d, s)) for x, d, s in zip(xs, direct, swapped)]
+
+
+def test_mirrored_scan_runs_few_batched_recursions(monkeypatch):
+    calls = []
+    inner = bounds._log_deltas
+
+    def counted(rows, depth):
+        calls.append(rows.shape[0])
+        return inner(rows, depth)
+
+    monkeypatch.setattr(bounds, "_log_deltas", counted)
+    rows = boundary_scan(np.linspace(0.05, 1.8, 8), 401, mirror=True)
+    assert len(rows) == 8
+    assert len(calls) <= 20
+    assert max(calls) == 16
+
+
+def test_converges_many_matches_single_points():
+    points = [(0.5, 0.5), (2.5, 2.5), (5.0, 0.001), (0.0, 0.0)]
+    assert converges_many(points, 41) == [converges(x, y, 41)
+                                          for x, y in points]

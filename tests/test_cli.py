@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lie_split.bounds import converges
 from lie_split.cli import main
 from lie_split.matrices import random_matrix, save_matrix_csv
 
@@ -82,6 +83,36 @@ def test_convergence_scan_writes_csv(tmp_path, capsys):
     assert data[0] == "x,y_max,depth"
     assert len(data) == 4
     assert all(row.endswith(",201") for row in data[1:])
+
+
+def test_convergence_scan_flags_capped_rows(tmp_path, capsys):
+    capped = tmp_path / "capped.csv"
+    code, _, _ = run(capsys, "convergence", "--scan", "0.001:0.1:2",
+                     "--mirror", "--out", str(capped))
+    assert code == 0
+    lines = capped.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("# y_cap")] == [
+        "# y_cap=8.0 reached at x=0.001"]
+    assert lines.index("# y_cap=8.0 reached at x=0.001") < lines.index(
+        "x,y_max,depth")
+    assert "0.001,8.0,401" in lines
+    plain = tmp_path / "plain.csv"
+    code, _, _ = run(capsys, "convergence", "--scan", "0.5:1.0:2",
+                     "--out", str(plain))
+    assert code == 0
+    assert not any(ln.startswith("# y_cap")
+                   for ln in plain.read_text().splitlines())
+
+
+def test_convergence_point_mirror_takes_effect(capsys):
+    code, out, _ = run(capsys, "convergence", "--point", "0.001", "5.0")
+    assert code == 0
+    assert out.startswith("converges=false ratio_tail=")
+    code, out, _ = run(capsys, "convergence", "--point", "0.001", "5.0",
+                       "--mirror")
+    assert code == 0
+    swapped = converges(5.0, 0.001, 401)[1]
+    assert out.strip() == f"converges=true ratio_tail={swapped}"
 
 
 def test_convergence_requires_exactly_one_mode(capsys):
