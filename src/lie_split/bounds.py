@@ -128,9 +128,10 @@ def _y_max_search(fixed: Sequence[float], swapped: Sequence[bool],
     for every fixed coordinate x.
 
     Each point doubles y from 1 while the probe converges and y <= Y_CAP,
-    then bisects; all points advance in lockstep, one batched recursion per
-    round over the probes of the points still searching. A point that
-    reaches the cap ends with lo == Y_CAP.
+    then bisects until hi - lo <= tol or no float lies between them; all
+    points advance in lockstep, one batched recursion per round over the
+    probes of the points still searching. A point that reaches the cap ends
+    with lo == Y_CAP.
     """
     fixed = np.asarray(fixed, dtype=float)
     swapped = np.asarray(swapped, dtype=bool)
@@ -138,11 +139,13 @@ def _y_max_search(fixed: Sequence[float], swapped: Sequence[bool],
     hi = np.ones(len(fixed))
     doubling = np.ones(len(fixed), dtype=bool)
     while True:
-        active = np.where(doubling, hi <= Y_CAP, hi - lo > tol)
+        mid = 0.5 * (lo + hi)
+        active = np.where(doubling, hi <= Y_CAP,
+                          (hi - lo > tol) & (lo < mid) & (mid < hi))
         idx = np.flatnonzero(active)
         if idx.size == 0:
             return lo
-        probe = np.where(doubling, hi, 0.5 * (lo + hi))[idx]
+        probe = np.where(doubling, hi, mid)[idx]
         xs = np.where(swapped[idx], probe, fixed[idx])
         ys = np.where(swapped[idx], fixed[idx], probe)
         ok = np.array(_tail_ratios(xs.tolist(), ys.tolist(), depth)) < 1.0

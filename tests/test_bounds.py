@@ -157,6 +157,14 @@ def test_y_max_bisection_brackets_boundary():
     assert not converges(0.001, ym + 2e-3, 401)[0]
 
 
+def test_y_max_without_tolerance_stops_at_adjacent_floats():
+    # hi - lo > tol never fails with tol = 0: the bisection has to stop
+    # once no float lies between lo and hi
+    ym = y_max(0.5, 21, tol=0.0)
+    assert converges(0.5, ym, 21)[0]
+    assert not converges(0.5, math.nextafter(ym, math.inf), 21)[0]
+
+
 def test_boundary_scan_rows_and_mirror():
     xs = (0.001, 0.5, 1.0)
     plain = boundary_scan(xs, 201)
