@@ -8,8 +8,9 @@ from lie_split.bounds import (Y_CAP, boundary_scan, converges, converges_many,
                               crude_r_sequence, refined_deltas, y_max)
 
 
-# Reference: the two-row recursion in linear space, as it was written before
-# the rows were summed and moved to log space for good.
+# Reference for the summed log-space row: the two-row recursion (main and
+# tilde advanced separately) in linear space, valid while no entry leaves
+# the double range.
 
 def _reference_advance(row, delta, k):
     top = len(row) - 1
