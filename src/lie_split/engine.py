@@ -18,19 +18,19 @@ maintains two rows of homogeneous elements per odd level k: the "left" row
 (log-derivative of the left-peeled remainder, sign-alternating updates) and
 the "right" row (log-derivative of the right closing product).  The exponent
 of the next level is a scaled difference of the two rows.  Each row is one
-stack (``series.stack_ops``): for float64 matrices a (top+1, n, n) array
-advanced by one broadcast bracket per ad power, otherwise a list advanced by
-one module call per entry.  Every 1/j! is folded into the step that builds
-the j-th power, so intermediates stay the size of the terms.
+stack (``series.stack_ops``): for matrices of either kit (float64 or mpmath)
+a (top+1, n, n) array advanced by one broadcast bracket per ad power; for
+the symbolic and structure-constant modules a list advanced by one module
+call per entry.  Every 1/j! is folded into the step that builds the j-th
+power, so intermediates stay the size of the terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Dict
 
-from .series import ListStack, TruncSeries, exp_factor, stack_ops
+from .series import TruncSeries, exp_factor, stack_ops
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,8 @@ def _advance_row(mod, ops, row, ck, k: int, sign: int):
         power = ops.nonzero(row[:top + 1 - k])
         j = 1
         while k * j <= top:
-            power = ops.ad(ck, power[:top + 1 - k * j], Fraction(sign, j))
-            ops.add_into(new, k * j, power)
+            power = ops.ad_into(new, k * j, ck, power[:top + 1 - k * j],
+                                Fraction(sign, j))
             j += 1
     if k - 1 <= top:
         new[k - 1] = mod.add(new[k - 1], mod.scale(Fraction(sign * k), ck))
@@ -128,54 +128,6 @@ def symmetric_terms(mod, x, y, max_degree: int) -> Dict[int, object]:
         )
         k += 2
     return terms
-
-
-def symmetric_terms_swapped(mod, x, y, max_degree: int) -> Dict[int, object]:
-    """Exponents for the mirrored splitting that opens with exp(hY/2)."""
-    return symmetric_terms(mod, y, x, max_degree)
-
-
-def symmetric_rows_inside_sum(mod, x, y, max_degree: int):
-    """Variant used only for consistency testing: applies the l = k-1
-    correction inside the j-sum (so ad powers do hit the correction term).
-    Mathematically identical to the production form because
-    ad_{C_k}(C_k) = 0; syntactically it may carry extra canceling trees.
-    Returns (terms, final left row, final right row).
-    """
-    if max_degree < 3 or max_degree % 2 == 0:
-        raise ValueError("max_degree must be an odd integer >= 3")
-    top = max_degree - 1
-    row_l, row_r = _seed_rows(mod, ListStack(mod), x, y, top)
-    terms = {3: mod.scale(Fraction(1, 6), mod.sub(row_l[2], row_r[2]))}
-    k = 3
-    while k + 2 <= max_degree:
-        ck = terms[k]
-
-        def step(row, sign):
-            corrected = list(row)
-            if k - 1 <= top:
-                corrected[k - 1] = mod.add(
-                    corrected[k - 1], mod.scale(Fraction(sign * k), ck)
-                )
-            new = [mod.zero() for _ in range(top + 1)]
-            for m in range(top + 1):
-                acc = corrected[m]
-                j = 0
-                while m + k * j <= top:
-                    if j > 0:
-                        acc = mod.bracket(ck, acc)
-                    c = Fraction(sign ** j, factorial(j))
-                    new[m + k * j] = mod.add(new[m + k * j], mod.scale(c, acc))
-                    j += 1
-            return new
-
-        row_l = step(row_l, -1)
-        row_r = step(row_r, +1)
-        terms[k + 2] = mod.scale(
-            Fraction(1, 2 * (k + 2)), mod.sub(row_l[k + 1], row_r[k + 1])
-        )
-        k += 2
-    return terms, row_l, row_r
 
 
 # ---------------------------------------------------------------------------

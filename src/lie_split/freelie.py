@@ -183,16 +183,6 @@ def bracket(a: LieCombo, b: LieCombo) -> LieCombo:
     return res
 
 
-def ad_pow(a: LieCombo, power: int, b: LieCombo) -> LieCombo:
-    """Iterated bracket ad_a^power (b) = [a, [a, ... [a, b]]]."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    acc = b
-    for _ in range(power):
-        acc = bracket(a, acc)
-    return acc
-
-
 def combo_to_json(combo: LieCombo) -> list:
     return [
         {"coeff": format_rational(c), "tree": tree_to_json(t)}

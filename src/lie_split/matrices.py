@@ -3,12 +3,15 @@ evaluation of the splitting products.
 
 A *kit* bundles the matrix operations the rest of the code needs (arithmetic,
 exponential, norms) for one precision level: NumpyKit wraps float64/scipy,
-MPKit wraps mpmath at a configurable number of significant digits (>= 30 for
-the extended mode).  MatrixAlgebra adapts a kit to both the ad-module
-interface of the term recursion and the associative-algebra interface of the
-series peelers.  NumpyKit also supplies ArrayStack, which holds a row of
-coefficients as one (count, n, n) array, so the recursion and the series
-product run as broadcast matrix products instead of one call per entry.
+MPKit holds mpmath numbers at a configurable number of significant digits
+(>= 30 for the extended mode) in numpy object arrays.  MatrixAlgebra adapts a
+kit to both the ad-module interface of the term recursion and the
+associative-algebra interface of the series peelers.  For both kits it
+carries ArrayStack, which holds a row of coefficients as one (count, n, n)
+array, so the recursion and the series product run as broadcast matrix
+products instead of one call per entry; the kit supplies the scalar
+conversion, the zero fill and the context (float error state or mpmath
+working precision) those calls run in.
 """
 
 from __future__ import annotations
@@ -29,14 +32,22 @@ class NumpyKit:
 
     name = "double"
 
-    def zeros(self, n):
-        return np.zeros((n, n))
+    def zeros(self, *shape):
+        return np.zeros(shape)
 
     def eye(self, n):
         return np.eye(n)
 
     def matrix(self, rows):
         return np.array(rows, dtype=float)
+
+    def scalar(self, c):
+        return float(c)
+
+    def context(self):
+        """Context of the stack operations: float overflow is reported as
+        inf/nan in the values, not as warnings."""
+        return np.errstate(all="ignore")
 
     def dim(self, a):
         return a.shape[0]
@@ -85,17 +96,110 @@ class NumpyKit:
         return float(x)
 
 
-class ArrayStack:
-    """Stack of float64 n x n matrices as one (count, n, n) array; the
-    operations of series.ListStack, each as one broadcast numpy call."""
+class MPKit:
+    """mpmath numbers at a fixed working precision (significant digits),
+    held in numpy object arrays, so products and sums run as broadcast
+    numpy calls over ``mpf`` entries.  Every operation runs inside
+    ``mp.workdps(dps)``: ``mpf`` arithmetic outside it rounds to 53 bits.
+    The exponential and the norms convert to ``mp.matrix`` and use
+    mpmath's own algorithms."""
 
-    def __init__(self, n: int):
+    name = "extended"
+
+    def __init__(self, dps: int = 50):
+        if dps < 30:
+            raise ValueError("extended precision needs at least 30 digits")
+        self.dps = dps
+
+    def zeros(self, *shape):
+        return np.full(shape, mp.mpf(0), dtype=object)
+
+    def eye(self, n):
+        out = self.zeros(n, n)
+        np.fill_diagonal(out, mp.mpf(1))
+        return out
+
+    def matrix(self, rows):
+        with mp.workdps(self.dps):
+            return np.array([[mp.mpf(v) for v in row] for row in rows],
+                            dtype=object)
+
+    def scalar(self, c):
+        with mp.workdps(self.dps):
+            if isinstance(c, Fraction):
+                return mp.mpf(c.numerator) / mp.mpf(c.denominator)
+            return mp.mpf(c)
+
+    def context(self):
+        return mp.workdps(self.dps)
+
+    def dim(self, a):
+        return a.shape[0]
+
+    def add(self, a, b):
+        with mp.workdps(self.dps):
+            return a + b
+
+    def sub(self, a, b):
+        with mp.workdps(self.dps):
+            return a - b
+
+    def scale(self, c, a):
+        # array on the left: mpf * array would first try to convert the
+        # array to an mpf
+        with mp.workdps(self.dps):
+            return a * self.scalar(c)
+
+    def matmul(self, a, b):
+        with mp.workdps(self.dps):
+            return a @ b
+
+    def bracket(self, a, b):
+        with mp.workdps(self.dps):
+            return a @ b - b @ a
+
+    def expm(self, a):
+        with mp.workdps(self.dps):
+            return np.array(mp.expm(mp.matrix(a.tolist())).tolist(),
+                            dtype=object)
+
+    def norm2(self, a):
+        # svd_r overwrites its argument, here a fresh mp.matrix
+        with mp.workdps(self.dps):
+            return mp.svd_r(mp.matrix(a.tolist()), compute_uv=False)[0]
+
+    def frobenius(self, a):
+        with mp.workdps(self.dps):
+            return mp.mnorm(mp.matrix(a.tolist()), "F")
+
+    def power(self, base, exponent: int):
+        with mp.workdps(self.dps):
+            return mp.mpf(base) ** exponent
+
+    def is_zero(self, a):
+        return not a.any()
+
+    def to_float(self, x):
+        return float(x)
+
+    def from_numpy(self, a):
+        return self.matrix([[repr(float(v)) for v in row] for row in a])
+
+
+class ArrayStack:
+    """Stack of n x n matrices as one (count, n, n) array of the kit's
+    numbers (float64, or mpf in an object array); the operations of
+    series.ListStack, each as one broadcast numpy call inside the kit's
+    context."""
+
+    def __init__(self, kit, n: int):
+        self.kit = kit
         self.n = n
 
     def stack(self, elems, length: int) -> np.ndarray:
         if isinstance(elems, np.ndarray) and len(elems) == length:
             return elems
-        out = np.zeros((length, self.n, self.n))
+        out = self.kit.zeros(length, self.n, self.n)
         if len(elems):
             out[:len(elems)] = elems
         return out
@@ -113,22 +217,37 @@ class ArrayStack:
         return s
 
     def scale(self, c, s):
-        return float(c) * s
+        kit = self.kit
+        with kit.context():
+            return s * kit.scalar(c)
 
     def ad(self, c, s, coef):
-        with np.errstate(all="ignore"):
+        kit = self.kit
+        with kit.context():
             out = c @ s
             out -= s @ c
-            out *= float(coef)
+            out *= kit.scalar(coef)
+        return out
+
+    def ad_into(self, dst, offset: int, c, s, coef):
+        # one context for both steps: entering np.errstate costs more than
+        # the products of a 2x2 row
+        kit = self.kit
+        with kit.context():
+            out = c @ s
+            out -= s @ c
+            out *= kit.scalar(coef)
+            dst[offset:offset + len(out)] += out
         return out
 
     def add_into(self, dst, offset: int, src) -> None:
-        dst[offset:offset + len(src)] += src
+        with self.kit.context():
+            dst[offset:offset + len(src)] += src
 
     def mul_into(self, dst, offset: int, a, s, idx) -> None:
         # slices, not fancy indexing: gathering and scattering the operands
         # costs several times the products themselves at n = 50
-        with np.errstate(all="ignore"):
+        with self.kit.context():
             for start, stop in _runs(idx):
                 dst[offset + start:offset + stop] += a @ s[start:stop]
 
@@ -146,81 +265,6 @@ def _runs(idx):
     return runs
 
 
-class MPKit:
-    """mpmath matrices at a fixed working precision (significant digits)."""
-
-    name = "extended"
-
-    def __init__(self, dps: int = 50):
-        if dps < 30:
-            raise ValueError("extended precision needs at least 30 digits")
-        self.dps = dps
-
-    def zeros(self, n):
-        with mp.workdps(self.dps):
-            return mp.zeros(n, n)
-
-    def eye(self, n):
-        with mp.workdps(self.dps):
-            return mp.eye(n)
-
-    def matrix(self, rows):
-        with mp.workdps(self.dps):
-            return mp.matrix([[mp.mpf(v) for v in row] for row in rows])
-
-    def dim(self, a):
-        return a.rows
-
-    def add(self, a, b):
-        with mp.workdps(self.dps):
-            return a + b
-
-    def sub(self, a, b):
-        with mp.workdps(self.dps):
-            return a - b
-
-    def scale(self, c, a):
-        with mp.workdps(self.dps):
-            if isinstance(c, Fraction):
-                c = mp.mpf(c.numerator) / mp.mpf(c.denominator)
-            else:
-                c = mp.mpf(c)
-            return c * a
-
-    def matmul(self, a, b):
-        with mp.workdps(self.dps):
-            return a * b
-
-    def bracket(self, a, b):
-        with mp.workdps(self.dps):
-            return a * b - b * a
-
-    def expm(self, a):
-        with mp.workdps(self.dps):
-            return mp.expm(a)
-
-    def norm2(self, a):
-        with mp.workdps(self.dps):
-            return mp.svd_r(a.copy(), compute_uv=False)[0]
-
-    def frobenius(self, a):
-        with mp.workdps(self.dps):
-            return mp.mnorm(a, "F")
-
-    def power(self, base, exponent: int):
-        with mp.workdps(self.dps):
-            return mp.mpf(base) ** exponent
-
-    def is_zero(self, a):
-        return all(v == 0 for v in a)
-
-    def to_float(self, x):
-        return float(x)
-
-    def from_numpy(self, a):
-        return self.matrix([[repr(float(v)) for v in row] for row in a])
-
-
 def kit_for(precision: str):
     """Kit for a precision mode name: 'double' or 'extended'."""
     if precision == "double":
@@ -233,16 +277,16 @@ def kit_for(precision: str):
 class MatrixAlgebra:
     """A kit's n x n matrices as an ad-module (zero/add/sub/scale/bracket)
     for the term recursion and as an associative algebra (unit/mul) for
-    series peeling.  ``stacks`` is the kit's array stack where it has one
-    (NumpyKit), else None and the engine falls back to list stacks."""
+    series peeling.  ``stacks`` is the kit's ArrayStack, through which the
+    engine holds its rows and series coefficients."""
 
     def __init__(self, kit, n: int):
         self.kit = kit
         self.n = n
-        self.stacks = ArrayStack(n) if isinstance(kit, NumpyKit) else None
+        self.stacks = ArrayStack(kit, n)
 
     def zero(self):
-        return self.kit.zeros(self.n)
+        return self.kit.zeros(self.n, self.n)
 
     def unit(self):
         return self.kit.eye(self.n)
@@ -291,11 +335,10 @@ def frechet_pair(kit, alpha):
         raise ValueError("alpha must be nonzero")
     if isinstance(kit, MPKit):
         with mp.workdps(kit.dps):
-            a = mp.mpf(alpha) if not isinstance(alpha, Fraction) \
-                else mp.mpf(alpha.numerator) / mp.mpf(alpha.denominator)
+            a = kit.scalar(alpha)
             r6 = 4 * mp.sqrt(6)
-            x = mp.pi * mp.matrix([[0, a], [-1 / a, 0]])
-            y = mp.pi * mp.matrix([[0, (10 + r6) * a], [(-10 + r6) / a, 0]])
+            x = kit.matrix([[0, a], [-1 / a, 0]]) * mp.pi
+            y = kit.matrix([[0, (10 + r6) * a], [(-10 + r6) / a, 0]]) * mp.pi
             return x, y
     a = float(alpha)
     r6 = 4.0 * np.sqrt(6.0)
@@ -384,11 +427,12 @@ def splitting_error(kit, x, y, lam, approx, norm: str = "spectral"):
 # CSV persistence (plain rows of entries, comma separated)
 
 def save_matrix_csv(path, a) -> None:
-    if isinstance(a, np.ndarray):
-        rows = [[repr(float(v)) for v in row] for row in a]
+    """float64 entries as shortest round-trip decimals, mpf entries (object
+    arrays, extended precision) with 30 significant digits."""
+    if a.dtype == object:
+        rows = [[mp.nstr(v, 30) for v in row] for row in a]
     else:
-        rows = [[mp.nstr(a[i, j], 30) for j in range(a.cols)]
-                for i in range(a.rows)]
+        rows = [[repr(float(v)) for v in row] for row in a]
     with open(path, "w") as fh:
         for row in rows:
             fh.write(",".join(row) + "\n")

@@ -8,9 +8,10 @@ extended-precision matrices.
 
 Coefficient lists, and the rows of the term recursion in ``engine``, are
 held as *stacks*.  A module or algebra that has a ``stacks`` attribute
-supplies its own (float64 matrices: one (count, n, n) array, see
-``matrices.ArrayStack``); every other one gets a ``ListStack``, a Python list
-whose operations are single calls into the module itself.
+supplies its own (matrices of both precision kits: one (count, n, n) array,
+see ``matrices.ArrayStack``); every other one (exact polynomials, free Lie
+combinations, structure constants) gets a ``ListStack``, a Python list whose
+operations are single calls into the module itself.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ class ListStack:
         mod = self.mod
         return [None if v is None else mod.scale(coef, mod.bracket(c, v))
                 for v in s]
+
+    def ad_into(self, dst, offset: int, c, s, coef) -> list:
+        """ad(c, s, coef), also added into dst at offset (add_into)."""
+        out = self.ad(c, s, coef)
+        self.add_into(dst, offset, out)
+        return out
 
     def add_into(self, dst, offset: int, src) -> None:
         """dst[offset + i] += src[i]."""
@@ -195,10 +202,3 @@ def exp_factor(algebra, elem, power: int, order: int) -> TruncSeries:
         j += 1
     return TruncSeries(algebra, coeffs, order)
 
-
-def exp_sum(algebra, elems_with_powers, order: int) -> TruncSeries:
-    """Product of exp factors, left to right."""
-    series = TruncSeries.unit(algebra, order)
-    for elem, power in elems_with_powers:
-        series = series * exp_factor(algebra, elem, power, order)
-    return series

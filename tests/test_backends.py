@@ -1,16 +1,19 @@
-"""Differential tests: the stacked float64 recursion and series product
-against the list-backed form of the same code, at 50 digits (MPKit), in
-float64, and against the symbolic terms evaluated on matrices."""
+"""Differential tests: the stacked recursion and series product against
+the list-backed form of the same code, in float64 and at 50 digits (MPKit),
+float64 against 50 digits, and against the symbolic terms evaluated on
+matrices."""
 
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from lie_split.engine import standard_terms, symmetric_terms
+from lie_split.experiments import run_fig3
 from lie_split.freelie import FreeLieModule, LieCombo, expand_assoc
-from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
-                                random_matrix)
+from lie_split.matrices import (ArrayStack, MPKit, MatrixAlgebra, NumpyKit,
+                                frechet_pair, random_matrix)
 
 DOUBLE = NumpyKit()
 EXTENDED = MPKit(50)
@@ -30,9 +33,19 @@ def worst_rel(reference, got):
     return worst
 
 
-def list_backed(n):
-    """float64 matrices on list stacks: the adapter without its array stack."""
-    alg = MatrixAlgebra(DOUBLE, n)
+def worst_rel_mp(reference, got):
+    """worst_rel at 50 digits, for two MPKit term tables."""
+    worst = mp.mpf(0)
+    for k, ref in reference.items():
+        err = EXTENDED.frobenius(EXTENDED.sub(got[k], ref))
+        worst = max(worst, err / EXTENDED.frobenius(ref))
+    return worst
+
+
+def list_backed(n, kit=DOUBLE):
+    """A kit's matrices on list stacks: the adapter without its array
+    stack."""
+    alg = MatrixAlgebra(kit, n)
     alg.stacks = None
     return alg
 
@@ -46,9 +59,64 @@ def fig3_extended():
     return (symmetric_terms(alg, y, x, 121), standard_terms(alg, x, y, 121))
 
 
-def test_array_stacks_only_for_float64():
-    assert MatrixAlgebra(DOUBLE, 3).stacks is not None
-    assert MatrixAlgebra(EXTENDED, 3).stacks is None
+def test_both_kits_get_an_array_stack():
+    for kit, dtype in ((DOUBLE, np.float64), (EXTENDED, object)):
+        ops = MatrixAlgebra(kit, 3).stacks
+        assert isinstance(ops, ArrayStack)
+        s = ops.stack([kit.eye(3)], 4)
+        assert s.shape == (4, 3, 3) and s.dtype == dtype
+        assert ops.support(s) == [0]
+    s = MatrixAlgebra(EXTENDED, 3).stacks.stack([], 2)
+    assert all(isinstance(v, mp.mpf) for v in s.flat)
+
+
+def test_extended_stacks_match_list_stacks():
+    x, y = frechet_pair(EXTENDED, Fraction(1, 5))
+    stacked, listed = MatrixAlgebra(EXTENDED, 2), list_backed(2, EXTENDED)
+    assert worst_rel_mp(symmetric_terms(listed, y, x, 61),
+                        symmetric_terms(stacked, y, x, 61)) <= 1e-45
+    assert worst_rel_mp(standard_terms(listed, x, y, 61),
+                        standard_terms(stacked, x, y, 61)) <= 1e-45
+    x = EXTENDED.from_numpy(random_matrix(4, 1.0, 401))
+    y = EXTENDED.from_numpy(random_matrix(4, 1.0, 402))
+    stacked, listed = MatrixAlgebra(EXTENDED, 4), list_backed(4, EXTENDED)
+    assert worst_rel_mp(symmetric_terms(listed, x, y, 21),
+                        symmetric_terms(stacked, x, y, 21)) <= 1e-45
+    assert worst_rel_mp(standard_terms(listed, x, y, 21),
+                        standard_terms(stacked, x, y, 21)) <= 1e-45
+
+
+def test_extended_stack_operations_keep_their_digits_at_global_precision():
+    # mpf arithmetic outside the kit's context rounds to the global
+    # precision; every stack operation must enter it
+    ops = MatrixAlgebra(EXTENDED, 2).stacks
+    with mp.workdps(50):
+        tiny = mp.mpf("1e-40")
+        near_one = mp.mpf(1) + tiny
+    assert near_one != 1
+    bump = EXTENDED.matrix([[near_one, 0], [0, 0]])
+    shift = EXTENDED.matrix([[0, 1], [0, 0]])
+    with mp.workdps(15):
+        assert mp.mpf(1) + tiny == 1
+        scaled = ops.scale(1, ops.stack([bump], 1))
+        bracketed = ops.ad(bump, ops.stack([shift], 1), 1)
+        added = ops.stack([EXTENDED.eye(2)], 1)
+        ops.add_into(added, 0, ops.stack([EXTENDED.scale(tiny, shift)], 1))
+        product = ops.stack([], 1)
+        ops.mul_into(product, 0, bump, ops.stack([EXTENDED.eye(2)], 1), [0])
+    assert scaled[0, 0, 0] == near_one
+    assert bracketed[0, 0, 1] == near_one
+    assert added[0, 0, 1] == tiny and added[0, 0, 0] == 1
+    assert product[0, 0, 0] == near_one
+
+
+def test_extended_fig3_values_pinned_to_25_digits():
+    # verify check 11 and the extended fig3 table sit on these two values
+    for n, want in ((101, "8.213250552540929089718068e-11"),
+                    (201, "6.215368690449583688246141e-20")):
+        got = run_fig3(lam_grid=(0.13,), n_list=(n,), precision="extended",
+                       include_standard=False)[0].rows[0][1]
+        assert mp.nstr(got, 25) == want, (n, got)
 
 
 def test_stacked_terms_match_extended_on_fig3_pair(fig3_extended):

@@ -1,14 +1,14 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from lie_split.engine import (oracle_symmetric_terms,
+from lie_split.engine import (_seed_rows, oracle_symmetric_terms,
                               palindromic_product_series, standard_terms,
-                              standard_terms_left, symmetric_rows_inside_sum,
-                              symmetric_terms, symmetric_terms_swapped)
+                              standard_terms_left, symmetric_terms)
 from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo, bracket,
                                expand_assoc, expands_equal)
-from lie_split.series import AssocPolyAlgebra, exp_factor
+from lie_split.series import AssocPolyAlgebra, ListStack, exp_factor
 
 X = LieCombo.generator("X")
 Y = LieCombo.generator("Y")
@@ -66,12 +66,61 @@ def test_each_term_is_homogeneous():
             assert tree_degree(tree) == k
 
 
+def exchange_letters(poly):
+    swap = {"X": "Y", "Y": "X"}
+    return AssocPoly({tuple(swap[a] for a in w): c
+                      for w, c in poly.terms.items()})
+
+
 def test_swapped_variant_is_letter_exchange():
+    # the mirrored splitting, opening with exp(hY/2), is the recursion with
+    # the roles of x and y swapped; its terms are the plain ones with the
+    # letters X and Y exchanged
     plain = symmetric_terms(MOD, X, Y, 7)
-    swapped = symmetric_terms_swapped(MOD, X, Y, 7)
-    relabeled = symmetric_terms(MOD, Y, X, 7)
+    swapped = symmetric_terms(MOD, Y, X, 7)
     for k in plain:
-        assert expands_equal(swapped[k], relabeled[k])
+        assert exchange_letters(expand_assoc(plain[k])) == \
+            expand_assoc(swapped[k])
+
+
+def symmetric_rows_inside_sum(mod, x, y, max_degree):
+    """The recursion with the l = k-1 correction applied inside the j-sum,
+    so ad powers do hit the correction term.  Mathematically identical to
+    engine.symmetric_terms because ad_{C_k}(C_k) = 0; syntactically it may
+    carry extra canceling trees.  Returns (terms, final left row, final
+    right row)."""
+    top = max_degree - 1
+    row_l, row_r = _seed_rows(mod, ListStack(mod), x, y, top)
+    terms = {3: mod.scale(Fraction(1, 6), mod.sub(row_l[2], row_r[2]))}
+    k = 3
+    while k + 2 <= max_degree:
+        ck = terms[k]
+
+        def step(row, sign):
+            corrected = list(row)
+            if k - 1 <= top:
+                corrected[k - 1] = mod.add(
+                    corrected[k - 1], mod.scale(Fraction(sign * k), ck)
+                )
+            new = [mod.zero() for _ in range(top + 1)]
+            for m in range(top + 1):
+                acc = corrected[m]
+                j = 0
+                while m + k * j <= top:
+                    if j > 0:
+                        acc = mod.bracket(ck, acc)
+                    c = Fraction(sign ** j, factorial(j))
+                    new[m + k * j] = mod.add(new[m + k * j], mod.scale(c, acc))
+                    j += 1
+            return new
+
+        row_l = step(row_l, -1)
+        row_r = step(row_r, +1)
+        terms[k + 2] = mod.scale(
+            Fraction(1, 2 * (k + 2)), mod.sub(row_l[k + 1], row_r[k + 1])
+        )
+        k += 2
+    return terms, row_l, row_r
 
 
 def test_inside_sum_rows_agree_after_expansion_only():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo, ad_pow,
-                               bracket, canonicalize, collected_term_count,
+from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo, bracket,
+                               canonicalize, collected_term_count,
                                combo_from_json, combo_to_json, expand_assoc,
                                expands_equal, tree_degree, tree_str)
 
@@ -77,12 +77,6 @@ def test_expand_is_linear(pair, p, q):
     lhs = expand_assoc(a.scale(p) + b.scale(q))
     rhs = expand_assoc(a).scale(p) + expand_assoc(b).scale(q)
     assert lhs == rhs
-
-
-def test_ad_pow_matches_iterated_bracket():
-    assert ad_pow(X, 0, Y) == Y
-    assert ad_pow(X, 1, Y) == bracket(X, Y)
-    assert ad_pow(X, 3, Y) == bracket(X, bracket(X, bracket(X, Y)))
 
 
 @settings(max_examples=40)

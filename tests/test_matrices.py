@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from lie_split.cli import main
 from lie_split.engine import symmetric_terms
 from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
                                 kit_for, load_matrix_csv, psi_standard, psi_symmetric,
@@ -194,6 +195,35 @@ def test_matrix_csv_round_trip_extended(tmp_path):
     save_matrix_csv(path, a)
     back = load_matrix_csv(path)
     assert np.linalg.norm(back - as_numpy(kit, a)) < 1e-15
+
+
+def significant_digits(field):
+    mantissa = field.lower().split("e")[0].lstrip("+-").replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def test_matrix_csv_keeps_extended_digits(tmp_path):
+    kit = MPKit()
+    a = kit.expm(kit.from_numpy(random_matrix(3, 0.7, 63)))
+    assert a.dtype == object
+    path = tmp_path / "mp.csv"
+    save_matrix_csv(path, a)
+    fields = path.read_text().replace("\n", ",").strip(",").split(",")
+    assert len(fields) == 9
+    assert all(significant_digits(f) > 17 for f in fields), fields
+    back = load_matrix_csv(path)
+    assert np.linalg.norm(back - as_numpy(kit, a)) < 1e-15
+
+
+def test_eval_matrix_out_keeps_extended_digits(tmp_path, capsys):
+    out = tmp_path / "approx.csv"
+    assert main(["eval-matrix", "--random", "3", "--max-degree", "5",
+                 "--precision", "extended", "--out", str(out)]) == 0
+    capsys.readouterr()
+    fields = out.read_text().replace("\n", ",").strip(",").split(",")
+    assert len(fields) == 9
+    assert all(significant_digits(f) > 17 for f in fields), fields
+    assert load_matrix_csv(out).shape == (3, 3)
 
 
 def test_matrix_module_and_series_algebra_contracts():

@@ -4,11 +4,19 @@ from math import factorial
 import pytest
 
 from lie_split.freelie import AssocPoly
-from lie_split.series import AssocPolyAlgebra, TruncSeries, exp_factor, exp_sum
+from lie_split.series import AssocPolyAlgebra, TruncSeries, exp_factor
 
 
 def words():
     return AssocPoly.word(("X",)), AssocPoly.word(("Y",))
+
+
+def exp_sum(algebra, elems_with_powers, order):
+    """Product of exp factors, left to right."""
+    series = TruncSeries.unit(algebra, order)
+    for elem, power in elems_with_powers:
+        series = series * exp_factor(algebra, elem, power, order)
+    return series
 
 
 def test_unit_and_zero_series():
