@@ -49,31 +49,33 @@ def _seed_rows(mod, ops, x, y, top: int):
               + sum_{j=0..l} ad_y^(l-j) ad_x^j y / (j! (l-j)!) )
     right[l] = ad_y^l x / (l! 2^(l+1))
 
-    Built over one stack W_m = ad_y^m [x, b_0, ..., b_top] / m!, advanced one
-    ad_y step (over every entry at once) per m, with b_0 = y and
-    b_j = 2 ad_x^j y / j!.  Entry 0 gives ad_y^m x / m!; the others, summed
-    along anti-diagonals j + m = l, give twice the sum above.  The j = 0
-    entry only reaches l = 0 (ad_y y = 0), which is replaced by (x+y)/2, so
-    the doubling rides on the first ad_x step instead of costing a scaling.
+    Built over one stack W_m = ad_y^m [x, b_1, ..., b_top] / m!, advanced
+    one ad_y step (over every entry at once) per m, with
+    b_j = 2 ad_x^j y / j!.  Entry 0 gives ad_y^m x / m!.  Every entry,
+    summed along anti-diagonals m + i = l, gives the bracket of left[l]:
+    ad_y^l x / l! plus twice the sum above, whose j = 0 term ad_y^l y
+    vanishes for l >= 1.  Level l = 0 is (x+y)/2 instead, and the doubling
+    rides on the first ad_x step instead of costing a scaling.
     """
-    col = [x, y]
+    col = [x]
+    power = y
     for j in range(1, top + 1):
         c = Fraction(2) if j == 1 else Fraction(1, j)
-        col.append(mod.scale(c, mod.bracket(x, col[-1])))
-    w = ops.stack(col, top + 2)
+        power = mod.scale(c, mod.bracket(x, power))
+        col.append(power)
+    w = ops.stack(col, top + 1)
     ady_x = [x]
-    twice = ops.copy(w[1:])
+    diagonals = ops.copy(w)
     for m in range(1, top + 1):
-        w = ops.ad(y, w[:top + 2 - m], Fraction(1, m))
+        w = ops.ad_into(diagonals, m, y, w[:top + 1 - m], Fraction(1, m))
         ady_x.append(ops.entry(w, 0))
-        ops.add_into(twice, m, w[1:])
 
     half_sum = mod.scale(Fraction(1, 2), mod.add(x, y))
     left = [half_sum]
     right = [half_sum]
     for l in range(1, top + 1):
         left.append(mod.scale(Fraction((-1) ** l, 2 ** (l + 1)),
-                              mod.add(ady_x[l], twice[l])))
+                              ops.entry(diagonals, l)))
         right.append(mod.scale(Fraction(1, 2 ** (l + 1)), ady_x[l]))
     return ops.stack(left, top + 1), ops.stack(right, top + 1)
 

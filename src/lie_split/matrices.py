@@ -221,17 +221,9 @@ class ArrayStack:
         with kit.context():
             return s * kit.scalar(c)
 
-    def ad(self, c, s, coef):
-        kit = self.kit
-        with kit.context():
-            out = c @ s
-            out -= s @ c
-            out *= kit.scalar(coef)
-        return out
-
     def ad_into(self, dst, offset: int, c, s, coef):
-        # one context for both steps: entering np.errstate costs more than
-        # the products of a 2x2 row
+        # the sum shares the products' context: entering np.errstate costs
+        # more than the products of a 2x2 row
         kit = self.kit
         with kit.context():
             out = c @ s

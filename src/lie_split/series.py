@@ -84,15 +84,12 @@ class ListStack:
     def scale(self, c, s) -> list:
         return [self.mod.scale(c, v) for v in s]
 
-    def ad(self, c, s, coef) -> list:
-        """coef * [c, s_i] for every entry."""
-        mod = self.mod
-        return [None if v is None else mod.scale(coef, mod.bracket(c, v))
-                for v in s]
-
     def ad_into(self, dst, offset: int, c, s, coef) -> list:
-        """ad(c, s, coef), also added into dst at offset (add_into)."""
-        out = self.ad(c, s, coef)
+        """coef * [c, s_i] for every entry, returned and also added into
+        dst[offset + i]."""
+        mod = self.mod
+        out = [None if v is None else mod.scale(coef, mod.bracket(c, v))
+               for v in s]
         self.add_into(dst, offset, out)
         return out
 

@@ -99,13 +99,14 @@ def test_extended_stack_operations_keep_their_digits_at_global_precision():
     with mp.workdps(15):
         assert mp.mpf(1) + tiny == 1
         scaled = ops.scale(1, ops.stack([bump], 1))
-        bracketed = ops.ad(bump, ops.stack([shift], 1), 1)
+        summed = ops.stack([], 1)
+        bracketed = ops.ad_into(summed, 0, bump, ops.stack([shift], 1), 1)
         added = ops.stack([EXTENDED.eye(2)], 1)
         ops.add_into(added, 0, ops.stack([EXTENDED.scale(tiny, shift)], 1))
         product = ops.stack([], 1)
         ops.mul_into(product, 0, bump, ops.stack([EXTENDED.eye(2)], 1), [0])
     assert scaled[0, 0, 0] == near_one
-    assert bracketed[0, 0, 1] == near_one
+    assert bracketed[0, 0, 1] == near_one and summed[0, 0, 1] == near_one
     assert added[0, 0, 1] == tiny and added[0, 0, 0] == 1
     assert product[0, 0, 0] == near_one
 
