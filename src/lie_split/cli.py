@@ -16,18 +16,16 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from .bounds import converges_many
-from .engine import standard_terms, symmetric_terms
-from .experiments import (ExperimentConfig, csv_header, fig2_csv_lines,
-                          fig3_csv_lines, load_config, run_fig2, run_fig3,
-                          write_boundary_csv, write_lines, ErrorCurve)
+from .engine import symmetric_terms
+from .experiments import (ExperimentConfig, fig2_csv_lines, fig3_csv_lines,
+                          load_config, run_fig2, run_fig3, write_boundary_csv,
+                          write_lines, ErrorCurve)
 from .freelie import (FreeLieModule, LieCombo, collected_term_count,
                       combo_to_json, expand_assoc)
-from .matrices import (MPKit, NumpyKit, kit_for, load_matrix_csv,
-                       psi_standard, psi_symmetric, random_matrix,
-                       save_matrix_csv, splitting_error)
+from .matrices import (kit_for, load_matrix_csv, psi_standard, psi_symmetric,
+                       random_matrix, save_matrix_csv, splitting_error)
 from .scalars import format_rational
 from .structconst import (BUNDLED, ScModule, bundled_algebra, collapse_middle,
                           load_sconst, sc_validate)
@@ -209,9 +207,7 @@ def _cmd_eval_matrix(args, cfg) -> int:
         y = load_matrix_csv(args.y_path)
     else:
         raise ValueError("eval-matrix needs --x and --y, or --random DIM")
-    if isinstance(kit, MPKit):
-        x = kit.from_numpy(np.asarray(x, dtype=float))
-        y = kit.from_numpy(np.asarray(y, dtype=float))
+    x, y = kit.from_numpy(x), kit.from_numpy(y)
     if args.variant == "symmetric":
         approx = psi_symmetric(kit, x, y, args.lam, args.max_degree)
     else:
@@ -289,16 +285,15 @@ def _cmd_structconst(args) -> int:
     return 0
 
 
-def _mean_curves(curve_sets: List[List[ErrorCurve]],
-                 dps: int = 15) -> List[ErrorCurve]:
+def _mean_curves(curve_sets: List[List[ErrorCurve]], kit) -> List[ErrorCurve]:
     """Pointwise arithmetic mean of matching curves from repeated trials.
-    The mean keeps the values' type: floats stay floats, mpmath values
-    (extended precision) are averaged at ``dps`` digits."""
+    The mean keeps the values' type and is taken in the kit's context:
+    floats stay floats, mpmath values keep the kit's digits."""
     first = curve_sets[0]
     if len(curve_sets) == 1:
         return first
     averaged = []
-    with mp.workdps(dps):
+    with kit.context():
         for idx, curve in enumerate(first):
             rows = []
             for row_idx, (value, _, _) in enumerate(curve.rows):
@@ -324,8 +319,7 @@ def _cmd_fig2(args, cfg) -> int:
     curve_sets = [run_fig2(seed=seed + trial, norms=norms, n_max=args.n_max,
                            dimension=dimension, kit=kit)
                   for trial in range(args.trials)]
-    dps = kit.dps if isinstance(kit, MPKit) else 15
-    lines = fig2_csv_lines(_mean_curves(curve_sets, dps), seed, precision)
+    lines = fig2_csv_lines(_mean_curves(curve_sets, kit), seed, precision)
     out = args.out or (cfg.out if cfg else None) or "fig2.csv"
     write_lines(out, lines)
     print(out)

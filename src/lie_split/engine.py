@@ -27,6 +27,7 @@ power, so intermediates stay the size of the terms.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict
 
@@ -206,6 +207,23 @@ def standard_terms_left(algebra, x, y, order: int) -> Dict[int, object]:
     return terms
 
 
+def palindromic_products(mul, outer, inner, factors):
+    """Truncated palindromic products outer inner F_3 ... F_k F_k ... F_3
+    inner outer, generic over the product ``mul``.
+
+    Yields (1, outer inner inner outer), then (k, product through F_k) for
+    each (k, F_k) of ``factors`` in the order given (ascending k).  The left
+    and right halves are accumulated apart and joined at every step.
+    """
+    left = mul(outer, inner)
+    right = mul(inner, outer)
+    yield 1, mul(left, right)
+    for k, factor in factors:
+        left = mul(left, factor)
+        right = mul(factor, right)
+        yield k, mul(left, right)
+
+
 def palindromic_product_series(algebra, x, y, terms: Dict[int, object],
                                order: int) -> TruncSeries:
     """The full palindromic product as a series: exp(lambda x/2) exp(lambda y/2)
@@ -213,13 +231,10 @@ def palindromic_product_series(algebra, x, y, terms: Dict[int, object],
     exp(lambda x/2), truncated at the given order."""
     alg = algebra
     half = Fraction(1, 2)
-    asc = [k for k in sorted(terms) if k <= order]
-    series = exp_factor(alg, alg.scale(half, x), 1, order)
-    series = series * exp_factor(alg, alg.scale(half, y), 1, order)
-    for k in asc:
-        series = series * exp_factor(alg, terms[k], k, order)
-    for k in reversed(asc):
-        series = series * exp_factor(alg, terms[k], k, order)
-    series = series * exp_factor(alg, alg.scale(half, y), 1, order)
-    series = series * exp_factor(alg, alg.scale(half, x), 1, order)
+    factors = ((k, exp_factor(alg, terms[k], k, order))
+               for k in sorted(terms) if k <= order)
+    for _, series in palindromic_products(
+            operator.mul, exp_factor(alg, alg.scale(half, x), 1, order),
+            exp_factor(alg, alg.scale(half, y), 1, order), factors):
+        pass
     return series

@@ -24,8 +24,8 @@ from mpmath import mp
 from . import __version__
 from .bounds import Y_CAP, boundary_scan, converges_many, crude_r_sequence
 from .engine import standard_terms, symmetric_terms
-from .matrices import (MPKit, MatrixAlgebra, NumpyKit, _scaled_terms,
-                       frechet_pair, kit_for, random_matrix)
+from .matrices import (MatrixAlgebra, NumpyKit, frechet_pair, kit_for,
+                       random_matrix, standard_products, symmetric_products)
 from .scalars import UniPoly
 from .structconst import ScModule, bundled_algebra, collapse_middle
 
@@ -139,42 +139,23 @@ def run_fig2(seed: int = 0, norms: Sequence[float] = (0.5, 2.5),
     m_top = n_max if n_max % 2 == 1 else n_max - 1
     curves = []
     for idx, target in enumerate(norms):
-        x = random_matrix(dimension, target, seed + 2 * idx)
-        y = random_matrix(dimension, target, seed + 2 * idx + 1)
-        if isinstance(kit, MPKit):
-            x, y = kit.from_numpy(x), kit.from_numpy(y)
+        x = kit.from_numpy(random_matrix(dimension, target, seed + 2 * idx))
+        y = kit.from_numpy(random_matrix(dimension, target, seed + 2 * idx + 1))
         ref = kit.expm(kit.add(x, y))
-
-        sym = symmetric_terms(MatrixAlgebra(kit, dimension), x, y, m_top)
-        std = standard_terms(MatrixAlgebra(kit, dimension), x, y, n_max)
-
-        half = Fraction(1, 2)
-        xh = kit.expm(kit.scale(half, x))
-        yh = kit.expm(kit.scale(half, y))
-        left = kit.matmul(xh, yh)
-        right = kit.matmul(yh, xh)
-        err_sym = {2: kit.norm2(kit.sub(ref, kit.matmul(left, right)))}
-        for k in range(3, m_top + 1, 2):
-            ek = kit.expm(sym[k])
-            left = kit.matmul(left, ek)
-            right = kit.matmul(ek, right)
-            err_sym[k] = kit.norm2(kit.sub(ref, kit.matmul(left, right)))
-
-        prod = kit.matmul(kit.expm(x), kit.expm(y))
-        err_std = {}
-        for k in range(2, n_max + 1):
-            prod = kit.matmul(prod, kit.expm(std[k]))
-            err_std[k] = kit.norm2(kit.sub(ref, prod))
+        mod = MatrixAlgebra(kit, dimension)
+        sym = symmetric_terms(mod, x, y, m_top)
+        std = standard_terms(mod, x, y, n_max)
+        err_sym = {k: kit.norm2(kit.sub(ref, prod))
+                   for k, prod in symmetric_products(kit, x, y, sym)}
+        err_std = {k: kit.norm2(kit.sub(ref, prod))
+                   for k, prod in standard_products(kit, x, y, std) if k > 1}
 
         rows = []
         carried = []
         for n in range(2, n_max + 1):
-            if n == 2 or n % 2 == 1:
-                es, flag = err_sym[n], 0
-            else:
-                es, flag = err_sym[n - 1], 1
-            rows.append((n, es, err_std[n]))
-            carried.append(flag)
+            m = n if n % 2 == 1 else n - 1     # n = 2 reads the sandwich
+            rows.append((n, err_sym[m], err_std[n]))
+            carried.append(int(3 <= m < n))
         curves.append(ErrorCurve(repr(float(target)), "n", rows, carried))
     return curves
 
@@ -199,9 +180,10 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
              include_standard: bool = True) -> List[ErrorCurve]:
     """Frobenius error of the truncated products over a lambda grid.
 
-    Terms are computed once at scale 1 and rescaled by lambda^k per grid
-    point (homogeneity).  Degrees in n_list must be odd: even degrees add no
-    palindromic factor, so their curves duplicate the preceding odd one.
+    Terms are computed once, for the pair scaled by a power of two, and
+    rescaled per grid point (homogeneity).  Degrees in n_list must be odd:
+    even degrees add no palindromic factor, so their curves duplicate the
+    preceding odd one.
     The lambda = 1 row is included even though the factored-exponential
     identity of the pair says nothing about convergence there.
 
@@ -227,39 +209,40 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
     top = max(n_list)
     marks = set(n_list)
 
-    sym = symmetric_terms(MatrixAlgebra(kit, 2), y, x, top)
-    std = None
-    if include_standard:
-        std = standard_terms(MatrixAlgebra(kit, 2), x, y, top)
+    # Terms come from (2^-j X, 2^-j Y), with 2^j about the pair's norm, and
+    # are rescaled by lambda^k 2^(jk).  Power-of-two factors are exact, so
+    # every term that is finite without the prescale keeps its bits; the
+    # unscaled one-sided terms grow like 11.9^k and overflow near k = 290.
+    # j top stays below 1024, so 2^(jk) is a finite float.
+    j = math.frexp(kit.to_float(max(kit.frobenius(x), kit.frobenius(y))))[1]
+    j = max(0, min(j - 1, 1023 // top))
+    shrink = Fraction(1, 2 ** j)
+    xs, ys = kit.scale(shrink, x), kit.scale(shrink, y)
+    mod = MatrixAlgebra(kit, 2)
+    sym = symmetric_terms(mod, ys, xs, top)
+    std = standard_terms(mod, xs, ys, top) if include_standard else None
 
-    half = Fraction(1, 2)
+    def rescaled(terms, lam):
+        with kit.context():
+            return {k: kit.scale(kit.power(lam, k) * 2 ** (j * k), v)
+                    for k, v in terms.items()}
+
     rows: Dict[int, List[tuple]] = {n: [] for n in n_list}
     for lam in lam_grid:
         ref = kit.expm(kit.scale(lam, kit.add(x, y)))
-        scaled = _scaled_terms(kit, sym, lam)
-        outer = kit.expm(kit.scale(half, kit.scale(lam, y)))
-        inner = kit.expm(kit.scale(half, kit.scale(lam, x)))
-        left = kit.matmul(outer, inner)
-        right = kit.matmul(inner, outer)
-        err_sym = {}
-        for k in range(3, top + 1, 2):
-            ek = kit.expm(scaled[k])
-            left = kit.matmul(left, ek)
-            right = kit.matmul(ek, right)
-            if k in marks:
-                err_sym[k] = kit.frobenius(kit.sub(ref, kit.matmul(left, right)))
+        a, b = kit.scale(lam, x), kit.scale(lam, y)
+        err_sym = {k: kit.frobenius(kit.sub(ref, prod))
+                   for k, prod in symmetric_products(kit, b, a,
+                                                     rescaled(sym, lam))
+                   if k in marks}
         err_std = {}
         if include_standard:
-            prod = kit.matmul(kit.expm(kit.scale(lam, x)),
-                              kit.expm(kit.scale(lam, y)))
-            for k in range(2, top + 1):
-                prod = kit.matmul(prod, kit.expm(
-                    kit.scale(kit.power(lam, k), std[k])))
-                if k in marks:
-                    err_std[k] = kit.frobenius(kit.sub(ref, prod))
+            err_std = {k: kit.frobenius(kit.sub(ref, prod))
+                       for k, prod in standard_products(kit, a, b,
+                                                        rescaled(std, lam))
+                       if k in marks}
         for n in n_list:
-            rows[n].append((lam, err_sym[n],
-                            err_std[n] if include_standard else None))
+            rows[n].append((lam, err_sym[n], err_std.get(n)))
     return [ErrorCurve(str(n), "lam", rows[n]) for n in n_list]
 
 

@@ -11,20 +11,21 @@ carries ArrayStack, which holds a row of coefficients as one (count, n, n)
 array, so the recursion and the series product run as broadcast matrix
 products instead of one call per entry; the kit supplies the scalar
 conversion, the zero fill and the context (float error state or mpmath
-working precision) those calls run in.
+working precision) those calls run in.  symmetric_products and
+standard_products build every truncated product of the two splittings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 import scipy.linalg
 
 import mpmath as mp
 
-from .engine import symmetric_terms, standard_terms
+from .engine import palindromic_products, standard_terms, symmetric_terms
 
 
 class NumpyKit:
@@ -94,6 +95,9 @@ class NumpyKit:
 
     def to_float(self, x):
         return float(x)
+
+    def from_numpy(self, a):
+        return np.asarray(a, dtype=float)
 
 
 class MPKit:
@@ -342,65 +346,62 @@ def frechet_pair(kit, alpha):
 # ---------------------------------------------------------------------------
 # Splitting products
 
-def _scaled_terms(kit, terms: Dict[int, object], lam) -> Dict[int, object]:
-    return {k: kit.scale(kit.power(lam, k), v) for k, v in terms.items()}
+def symmetric_products(kit, a, b, terms: Dict[int, object]):
+    """Truncated palindromic products of the scaled pair (a, b) and its
+    exponents ``terms`` ({k: C_k} at the same scale): yields
+    (1, e^{a/2} e^{b/2} e^{b/2} e^{a/2}), then (k, product through
+    exp(C_k)) for every k in ascending order."""
+    half = Fraction(1, 2)
+    return palindromic_products(
+        kit.matmul, kit.expm(kit.scale(half, a)), kit.expm(kit.scale(half, b)),
+        ((k, kit.expm(terms[k])) for k in sorted(terms)))
 
 
-def psi_symmetric(kit, x, y, lam, n: int,
-                  terms: Optional[Dict[int, object]] = None):
+def standard_products(kit, a, b, terms: Dict[int, object]):
+    """Truncated one-sided products e^a e^b exp(D_2) ... exp(D_k) of the
+    scaled pair (a, b) and its exponents ``terms`` ({k: D_k} at the same
+    scale): yields (1, e^a e^b), then (k, product through exp(D_k)) for
+    every k in ascending order."""
+    prod = kit.matmul(kit.expm(a), kit.expm(b))
+    yield 1, prod
+    for k in sorted(terms):
+        prod = kit.matmul(prod, kit.expm(terms[k]))
+        yield k, prod
+
+
+def _scaled_pair(kit, x, y, lam):
+    if kit.dim(x) != kit.dim(y):
+        raise ValueError("dimension mismatch")
+    return kit.scale(lam, x), kit.scale(lam, y)
+
+
+def psi_symmetric(kit, x, y, lam, n: int):
     """Palindromic approximant of exp(lambda(x+y)) through degree n.
 
     Only odd degrees contribute; for even n the product equals the one for
-    n-1.  The innermost factor of the palindrome appears once with a doubled
-    exponent.  When precomputed degree terms (at scale 1) are passed in they
-    are rescaled by lambda^k, which homogeneity makes identical to computing
-    them from (lambda x, lambda y) directly, the default.
+    n-1, and n = 2 is the half-step sandwich without any term factor.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     m = n if n % 2 == 1 else n - 1
-    dim = kit.dim(x)
-    if dim != kit.dim(y):
-        raise ValueError("dimension mismatch")
-    if terms is not None:
-        scaled = _scaled_terms(kit, terms, lam)
-    elif m >= 3:
-        mod = MatrixAlgebra(kit, dim)
-        scaled = symmetric_terms(mod, kit.scale(lam, x), kit.scale(lam, y), m)
-    else:
-        scaled = {}
-    xh = kit.expm(kit.scale(Fraction(1, 2), kit.scale(lam, x)))
-    yh = kit.expm(kit.scale(Fraction(1, 2), kit.scale(lam, y)))
-    asc = [k for k in sorted(scaled) if k < m]
-    prod = kit.matmul(xh, yh)
-    for k in asc:
-        prod = kit.matmul(prod, kit.expm(scaled[k]))
+    a, b = _scaled_pair(kit, x, y, lam)
+    terms = {}
     if m >= 3:
-        prod = kit.matmul(prod, kit.expm(kit.scale(2, scaled[m])))
-    for k in reversed(asc):
-        prod = kit.matmul(prod, kit.expm(scaled[k]))
-    prod = kit.matmul(prod, yh)
-    prod = kit.matmul(prod, xh)
+        terms = symmetric_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, m)
+    for _, prod in symmetric_products(kit, a, b, terms):
+        pass
     return prod
 
 
-def psi_standard(kit, x, y, lam, n: int,
-                 terms: Optional[Dict[int, object]] = None):
+def psi_standard(kit, x, y, lam, n: int):
     """One-sided approximant exp(lambda x) exp(lambda y) exp(lambda^2 D_2)
     ... exp(lambda^n D_n)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    dim = kit.dim(x)
-    if dim != kit.dim(y):
-        raise ValueError("dimension mismatch")
-    if terms is not None:
-        scaled = _scaled_terms(kit, terms, lam)
-    else:
-        alg = MatrixAlgebra(kit, dim)
-        scaled = standard_terms(alg, kit.scale(lam, x), kit.scale(lam, y), n)
-    prod = kit.matmul(kit.expm(kit.scale(lam, x)), kit.expm(kit.scale(lam, y)))
-    for k in range(2, n + 1):
-        prod = kit.matmul(prod, kit.expm(scaled[k]))
+    a, b = _scaled_pair(kit, x, y, lam)
+    terms = standard_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, n)
+    for _, prod in standard_products(kit, a, b, terms):
+        pass
     return prod
 
 

@@ -25,7 +25,6 @@ central element.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from importlib import resources
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set, Tuple
 
 from .bounds import converges, crude_r_sequence, y_max
 from .engine import (oracle_symmetric_terms, palindromic_product_series,

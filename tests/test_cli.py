@@ -5,6 +5,7 @@ import pytest
 
 from lie_split.bounds import converges
 from lie_split.cli import main
+from lie_split.experiments import run_fig2
 from lie_split.matrices import random_matrix, save_matrix_csv
 
 
@@ -149,6 +150,18 @@ def test_eval_matrix_random_pair(capsys):
     assert code == 0
     assert "variant=symmetric" in out
     assert "error=" in out
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_eval_matrix_symmetric_matches_fig2_row(capsys, n):
+    # eval-matrix --random 20 --target 0.5 --seed 0 draws fig2's first pair;
+    # both build the palindromic product the same way, to the last bit
+    curve = run_fig2(seed=0, norms=(0.5,), dimension=20)[0]
+    want = {row[0]: row[1] for row in curve.rows}[n]
+    code, out, _ = run(capsys, "eval-matrix", "--random", "20", "--target",
+                       "0.5", "--seed", "0", "--max-degree", str(n))
+    assert code == 0
+    assert f"error={want!r}" in out
 
 
 def test_eval_matrix_from_csv(tmp_path, capsys):

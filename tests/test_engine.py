@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 
 from lie_split.engine import (_seed_rows, oracle_symmetric_terms,
-                              palindromic_product_series, standard_terms,
+                              palindromic_product_series,
+                              palindromic_products, standard_terms,
                               standard_terms_left, symmetric_terms)
 from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo, bracket,
                                expand_assoc, expands_equal)
@@ -184,6 +185,22 @@ def test_palindromic_product_rebuilds_exponential():
     target = exp_factor(alg, alg.add(ax, ay), 1, order)
     for j in range(order + 1):
         assert prod.coefficient(j) == target.coefficient(j)
+
+
+def test_palindromic_products_match_the_written_palindrome():
+    # integer matrices: every product is exact, so the grouping of the two
+    # halves cannot hide a wrong order
+    import numpy as np
+    from functools import reduce
+    rng = np.random.default_rng(5)
+    a, b, f3, f5 = (rng.integers(-2, 3, (3, 3)) for _ in range(4))
+    assert (a @ b != b @ a).any() and (f3 @ f5 != f5 @ f3).any()
+    got = dict(palindromic_products(np.matmul, a, b, [(3, f3), (5, f5)]))
+    written = {1: [a, b, b, a], 3: [a, b, f3, f3, b, a],
+               5: [a, b, f3, f5, f5, f3, b, a]}
+    assert sorted(got) == [1, 3, 5]
+    for k, word in written.items():
+        assert np.array_equal(got[k], reduce(np.matmul, word))
 
 
 def test_terms_work_on_matrix_module_too():

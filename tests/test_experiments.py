@@ -127,6 +127,20 @@ def test_run_fig3_deep_degree_does_not_overflow():
     assert e301 <= 10 * e201
 
 
+def test_run_fig3_standard_terms_do_not_overflow():
+    # lambda = 0.05 lies inside the one-sided radius (about 0.084); unscaled,
+    # the pair's one-sided terms overflowed near k = 290 and n = 301 read inf
+    curves = run_fig3(lam_grid=(0.05,), n_list=(201, 301))
+    e201, e301 = (curve.rows[0][2] for curve in curves)
+    assert e201 <= 1e-13
+    assert math.isfinite(e301) and e301 <= 1e-13
+    # 2^(j k) stays a finite float at depth 401; lambda = 0.13 lies outside
+    # the radius, where the one-sided product diverges
+    deep = run_fig3(lam_grid=(0.05, 0.13), n_list=(401,))[0]
+    assert deep.rows[0][1] <= 1e-13 and deep.rows[0][2] <= 1e-13
+    assert not deep.rows[1][2] <= 1.0
+
+
 def test_run_fig3_validation():
     with pytest.raises(ValueError):
         run_fig3(alpha=0)
