@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: terms, expand, eval-matrix, convergence, structconst, fig2,
-fig3, verify.  Common flags (--seed, --precision, --out, --config) attach to
-every subcommand; a JSON config file supplies defaults that explicit flags
-override.  Exit codes: 0 success, 1 validation or I/O failure, 2 when the
-verify suite reports a failing check.
+fig3, verify.  Each subcommand takes only the flags its handler reads:
+--out and --config on all of them, --seed on eval-matrix, convergence,
+fig2 and fig3, --precision on eval-matrix, fig2 and fig3.  A config file
+is a JSON object of the same flags, keyed by flag name (``lam_grid`` for
+--lam-grid); it is parsed ahead of the command line, so explicit flags win
+and both sources pass the same checks.  Exit codes: 0 success, 1
+validation or I/O failure, 2 when the verify suite reports a failing check.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 
 from .bounds import converges_many
 from .engine import symmetric_terms
-from .experiments import (ExperimentConfig, fig2_csv_lines, fig3_csv_lines,
-                          load_config, run_fig2, run_fig3, write_boundary_csv,
-                          write_lines, ErrorCurve)
+from .experiments import (DEFAULT_LAM_GRID, fig2_csv_lines, fig3_csv_lines,
+                          run_fig2, run_fig3, write_boundary_csv, write_lines,
+                          ErrorCurve)
 from .freelie import (FreeLieModule, LieCombo, collected_term_count,
                       combo_to_json, expand_assoc)
 from .matrices import (kit_for, load_matrix_csv, psi_standard, psi_symmetric,
@@ -42,35 +45,50 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--precision", choices=("double", "extended"),
-                        default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--config", default=None)
-    return common
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+    return seed
+
+
+def _list_of(kind):
+    def parse(text: str) -> tuple:
+        return tuple(kind(part) for part in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__}"   # argparse's message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = _Parser(prog="lie-split",
                      description="palindromic splitting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("terms", parents=[common],
-                       help="generate the odd splitting exponents")
+    def command(name, handler, help, out=None, seed=False, precision=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if seed:
+            p.add_argument("--seed", type=_seed, default=0)
+        if precision:
+            p.add_argument("--precision", choices=("double", "extended"),
+                           default="double")
+        p.add_argument("--out", default=out)
+        p.add_argument("--config", help="JSON object of these flags")
+        return p
+
+    p = command("terms", _cmd_terms, "generate the odd splitting exponents")
     p.add_argument("--max-degree", type=int, default=9)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--check-counts", action="store_true")
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="expand the exponents into associative words")
+    p = command("expand", _cmd_expand,
+                "expand the exponents into associative words")
     p.add_argument("--max-degree", type=int, default=9)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("eval-matrix", parents=[common],
-                       help="evaluate the splitting on a matrix pair")
+    p = command("eval-matrix", _cmd_eval_matrix,
+                "evaluate the splitting on a matrix pair",
+                seed=True, precision=True)
     p.add_argument("--x", dest="x_path", default=None)
     p.add_argument("--y", dest="y_path", default=None)
     p.add_argument("--random", type=int, default=None, metavar="DIM")
@@ -81,53 +99,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("symmetric", "standard"),
                    default="symmetric")
 
-    p = sub.add_parser("convergence", parents=[common],
-                       help="certified convergence domain queries")
+    p = command("convergence", _cmd_convergence,
+                "certified convergence domain queries", seed=True)
     p.add_argument("--scan", default=None, metavar="X0:X1:STEPS")
     p.add_argument("--point", nargs=2, type=float, default=None,
                    metavar=("X_NORM", "Y_NORM"))
     p.add_argument("--depth", type=int, default=401)
     p.add_argument("--mirror", action="store_true")
 
-    p = sub.add_parser("structconst", parents=[common],
-                       help="structure-constant algebras: validate and split")
+    p = command("structconst", _cmd_structconst,
+                "structure-constant algebras: validate and split")
     p.add_argument("source", help="bundled name (%s) or file path"
                    % ", ".join(BUNDLED))
     p.add_argument("--pair", default=None, metavar="A,B")
     p.add_argument("--max-degree", type=int, default=7)
 
-    p = sub.add_parser("fig2", parents=[common],
-                       help="error-vs-degree curves for random pairs")
-    p.add_argument("--norms", default=None, metavar="N1,N2")
+    p = command("fig2", _cmd_fig2, "error-vs-degree curves for random pairs",
+                out="fig2.csv", seed=True, precision=True)
+    p.add_argument("--norms", type=_list_of(float), default=(0.5, 2.5),
+                   metavar="N1,N2")
     p.add_argument("--n-max", type=int, default=51)
-    p.add_argument("--dimension", type=int, default=None)
+    p.add_argument("--dimension", type=int, default=20)
     p.add_argument("--trials", type=int, default=1)
 
-    p = sub.add_parser("fig3", parents=[common],
-                       help="error-vs-lambda curves for the factored pair")
+    p = command("fig3", _cmd_fig3,
+                "error-vs-lambda curves for the factored pair",
+                out="fig3.csv", seed=True, precision=True)
     p.add_argument("--alpha", default="1/5")
-    p.add_argument("--lam-grid", default=None, metavar="L1,L2,...")
-    p.add_argument("--n-list", default="51,101,201")
+    p.add_argument("--lam-grid", type=_list_of(float),
+                   default=DEFAULT_LAM_GRID, metavar="L1,L2,...")
+    p.add_argument("--n-list", type=_list_of(int), default=(51, 101, 201))
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the self-check suite")
-    p.add_argument("--checks", default=None, metavar="1,2,...")
+    p = command("verify", _cmd_verify, "run the self-check suite")
+    p.add_argument("--checks", type=_list_of(int), default=None,
+                   metavar="1,2,...")
 
     return parser
 
 
-def _load_cfg(args) -> Optional[ExperimentConfig]:
-    if getattr(args, "config", None) is None:
-        return None
-    return load_config(args.config)
+def _config_argv(parser: argparse.ArgumentParser, command: str,
+                 path) -> List[str]:
+    """The flags a JSON config file stands for, as argv for ``command``.
 
-
-def _pick(cli_value, cfg_value, fallback):
-    if cli_value is not None:
-        return cli_value
-    if cfg_value is not None:
-        return cfg_value
-    return fallback
+    Keys are the subcommand's flag names with underscores (``n_max`` for
+    --n-max); lists are comma-joined, --point takes its two values, and
+    true or false sets or leaves out a store_true flag.  An ``experiment``
+    key, if present, must name the subcommand.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    experiment = raw.pop("experiment", command)
+    if experiment != command:
+        raise ValueError(f"{path}: config is for experiment {experiment!r}, "
+                         f"not {command}")
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {opt[2:].replace("-", "_"): (opt, action)
+             for action in subparsers.choices[command]._actions
+             for opt in action.option_strings
+             if opt not in ("-h", "--help", "--config")}
+    unknown = sorted(set(raw) - set(flags))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    argv = []
+    for key, value in raw.items():
+        opt, action = flags[key]
+        values = value if isinstance(value, list) else [value]
+        if action.nargs == 0 and isinstance(value, bool):
+            argv += [opt] if value else []
+        elif action.nargs == 2:
+            argv += [opt] + [str(v) for v in values]
+        else:
+            argv.append(f"{opt}={','.join(str(v) for v in values)}")
+    return argv
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -136,23 +182,6 @@ def _emit(out: Optional[str], text: str) -> None:
     else:
         write_lines(out, text.split("\n"))
         print(out)
-
-
-def _parse_floats(spec: str, flag: str) -> tuple:
-    try:
-        values = tuple(float(part) for part in spec.split(","))
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {spec!r}")
-    if not values:
-        raise ValueError(f"{flag} must list at least one value")
-    return values
-
-
-def _parse_ints(spec: str, flag: str) -> tuple:
-    try:
-        return tuple(int(part) for part in spec.split(","))
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {spec!r}")
 
 
 def _symbolic_table(max_degree: int):
@@ -193,15 +222,13 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_eval_matrix(args, cfg) -> int:
-    precision = _pick(args.precision, cfg.precision if cfg else None, "double")
-    seed = _pick(args.seed, cfg.seed if cfg else None, 0)
-    kit = kit_for(precision)
+def _cmd_eval_matrix(args) -> int:
+    kit = kit_for(args.precision)
     if args.random is not None:
         if args.x_path or args.y_path:
             raise ValueError("give either --random or --x/--y, not both")
-        x = random_matrix(args.random, args.target, seed)
-        y = random_matrix(args.random, args.target, seed + 1)
+        x = random_matrix(args.random, args.target, args.seed)
+        y = random_matrix(args.random, args.target, args.seed + 1)
     elif args.x_path and args.y_path:
         x = load_matrix_csv(args.x_path)
         y = load_matrix_csv(args.y_path)
@@ -214,23 +241,22 @@ def _cmd_eval_matrix(args, cfg) -> int:
         approx = psi_standard(kit, x, y, args.lam, args.max_degree)
     err = splitting_error(kit, x, y, args.lam, approx)
     print(f"variant={args.variant} lam={args.lam} n={args.max_degree} "
-          f"precision={precision} error={float(err)!r}")
+          f"precision={args.precision} error={float(err)!r}")
     if args.out is not None:
         save_matrix_csv(args.out, approx)
         print(args.out)
     return 0
 
 
-def _cmd_convergence(args, cfg) -> int:
-    seed = _pick(args.seed, cfg.seed if cfg else None, 0)
+def _cmd_convergence(args) -> int:
     if (args.scan is None) == (args.point is None):
         raise ValueError("convergence needs exactly one of --scan or --point")
     if args.point is not None:
         xn, yn = args.point
         points = [(xn, yn), (yn, xn)] if args.mirror else [(xn, yn)]
         ratio = min(r for _, r in converges_many(points, args.depth))
-        print(f"converges={'true' if ratio < 1.0 else 'false'} "
-              f"ratio_tail={ratio}")
+        _emit(args.out, f"converges={'true' if ratio < 1.0 else 'false'} "
+                        f"ratio_tail={ratio}")
         return 0
     parts = args.scan.split(":")
     if len(parts) != 3:
@@ -242,8 +268,8 @@ def _cmd_convergence(args, cfg) -> int:
     if steps < 2 or x1 <= x0:
         raise ValueError("scan needs x1 > x0 and at least 2 steps")
     grid = np.linspace(x0, x1, steps)
-    out = args.out or (cfg.out if cfg else None) or "boundary.csv"
-    write_boundary_csv(grid, args.depth, seed, args.mirror, out)
+    out = args.out or "boundary.csv"
+    write_boundary_csv(grid, args.depth, args.seed, args.mirror, out)
     print(out)
     return 0
 
@@ -306,50 +332,35 @@ def _mean_curves(curve_sets: List[List[ErrorCurve]], kit) -> List[ErrorCurve]:
     return averaged
 
 
-def _cmd_fig2(args, cfg) -> int:
-    seed = _pick(args.seed, cfg.seed if cfg else None, 0)
-    dimension = _pick(args.dimension, cfg.dimension if cfg else None, 20)
-    norms = (cfg.norms if cfg else None) or (0.5, 2.5)
-    if args.norms is not None:
-        norms = _parse_floats(args.norms, "--norms")
-    precision = _pick(args.precision, cfg.precision if cfg else None, "double")
+def _cmd_fig2(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    kit = kit_for(precision)
-    curve_sets = [run_fig2(seed=seed + trial, norms=norms, n_max=args.n_max,
-                           dimension=dimension, kit=kit)
+    kit = kit_for(args.precision)
+    curve_sets = [run_fig2(seed=args.seed + trial, norms=args.norms,
+                           n_max=args.n_max, dimension=args.dimension, kit=kit)
                   for trial in range(args.trials)]
-    lines = fig2_csv_lines(_mean_curves(curve_sets, kit), seed, precision)
-    out = args.out or (cfg.out if cfg else None) or "fig2.csv"
-    write_lines(out, lines)
-    print(out)
+    write_lines(args.out, fig2_csv_lines(_mean_curves(curve_sets, kit),
+                                         args.seed, args.precision))
+    print(args.out)
     return 0
 
 
-def _cmd_fig3(args, cfg) -> int:
-    seed = _pick(args.seed, cfg.seed if cfg else None, 0)
-    precision = _pick(args.precision, cfg.precision if cfg else None, "double")
-    lam_grid = (cfg.lam_grid if cfg else None)
-    if args.lam_grid is not None:
-        lam_grid = _parse_floats(args.lam_grid, "--lam-grid")
+def _cmd_fig3(args) -> int:
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--alpha expects a rational like 1/5, got {args.alpha!r}")
-    n_list = _parse_ints(args.n_list, "--n-list")
-    curves = run_fig3(alpha=alpha, lam_grid=lam_grid, n_list=n_list,
-                      precision=precision)
-    lines = fig3_csv_lines(curves, seed, precision)
-    out = args.out or (cfg.out if cfg else None) or "fig3.csv"
-    write_lines(out, lines)
-    print(out)
+    curves = run_fig3(alpha=alpha, lam_grid=args.lam_grid, n_list=args.n_list,
+                      precision=args.precision)
+    write_lines(args.out, fig3_csv_lines(curves, args.seed, args.precision))
+    print(args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     only = None
     if args.checks is not None:
-        only = set(_parse_ints(args.checks, "--checks"))
+        only = set(args.checks)
         known = {cid for cid, _, _, _ in CHECKS}
         bad = only - known
         if bad:
@@ -365,32 +376,20 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # the config's flags go first, so the command line overrides them
+            args = parser.parse_args(
+                [args.command] + _config_argv(parser, args.command, args.config)
+                + argv[1:])
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _load_cfg(args)
-        if args.command == "terms":
-            return _cmd_terms(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "eval-matrix":
-            return _cmd_eval_matrix(args, cfg)
-        if args.command == "convergence":
-            return _cmd_convergence(args, cfg)
-        if args.command == "structconst":
-            return _cmd_structconst(args)
-        if args.command == "fig2":
-            return _cmd_fig2(args, cfg)
-        if args.command == "fig3":
-            return _cmd_fig3(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

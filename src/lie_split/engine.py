@@ -211,17 +211,19 @@ def palindromic_products(mul, outer, inner, factors):
     """Truncated palindromic products outer inner F_3 ... F_k F_k ... F_3
     inner outer, generic over the product ``mul``.
 
-    Yields (1, outer inner inner outer), then (k, product through F_k) for
-    each (k, F_k) of ``factors`` in the order given (ascending k).  The left
-    and right halves are accumulated apart and joined at every step.
+    Yields (1, outer inner, inner outer), then (k, left, right) for each
+    (k, F_k) of ``factors`` in the order given (ascending k), where left is
+    outer inner F_3 ... F_k and right its mirror image.  The truncated
+    product is mul(left, right); readers join the halves only at the
+    degrees they use.
     """
     left = mul(outer, inner)
     right = mul(inner, outer)
-    yield 1, mul(left, right)
+    yield 1, left, right
     for k, factor in factors:
         left = mul(left, factor)
         right = mul(factor, right)
-        yield k, mul(left, right)
+        yield k, left, right
 
 
 def palindromic_product_series(algebra, x, y, terms: Dict[int, object],
@@ -233,8 +235,8 @@ def palindromic_product_series(algebra, x, y, terms: Dict[int, object],
     half = Fraction(1, 2)
     factors = ((k, exp_factor(alg, terms[k], k, order))
                for k in sorted(terms) if k <= order)
-    for _, series in palindromic_products(
+    for _, left, right in palindromic_products(
             operator.mul, exp_factor(alg, alg.scale(half, x), 1, order),
             exp_factor(alg, alg.scale(half, y), 1, order), factors):
         pass
-    return series
+    return left * right

@@ -11,9 +11,7 @@ tools.  Reruns with the same configuration are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields as dc_fields
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -28,8 +26,6 @@ from .matrices import (MatrixAlgebra, NumpyKit, frechet_pair, kit_for,
                        random_matrix, standard_products, symmetric_products)
 from .scalars import UniPoly
 from .structconst import ScModule, bundled_algebra, collapse_middle
-
-EXPERIMENTS = ("fig2", "fig3", "boundary", "terms", "examples")
 
 DEFAULT_LAM_GRID = tuple(sorted(set(j / 20 for j in range(1, 21)) | {0.13}))
 DEFAULT_X_GRID = (0.001,) + tuple(j / 20 for j in range(1, 41))
@@ -56,56 +52,6 @@ def _fmt(v) -> str:
     if isinstance(v, np.floating):
         return repr(float(v))
     return mp.nstr(v, 25)
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated run parameters; mirrors the JSON config file exactly."""
-
-    experiment: str
-    seed: int = 0
-    dimension: int = 20
-    norms: Tuple[float, ...] = (0.5, 2.5)
-    max_degree: Optional[int] = None
-    lam_grid: Optional[Tuple[float, ...]] = None
-    precision: str = "double"
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose from {', '.join(EXPERIMENTS)}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.norms = tuple(float(v) for v in self.norms)
-        if any(v <= 0 for v in self.norms):
-            raise ValueError("norm targets must be positive")
-        if self.max_degree is not None and self.max_degree < 2:
-            raise ValueError("max_degree must be at least 2")
-        if self.lam_grid is not None:
-            self.lam_grid = tuple(float(v) for v in self.lam_grid)
-            if any(not 0.0 < v <= 1.0 for v in self.lam_grid):
-                raise ValueError("lambda values must lie in (0, 1]")
-        if self.precision not in ("double", "extended"):
-            raise ValueError("precision must be 'double' or 'extended'")
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON object with exactly the ExperimentConfig keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dc_fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for key in ("norms", "lam_grid"):
-        if isinstance(raw.get(key), list):
-            raw[key] = tuple(raw[key])
-    return ExperimentConfig(**raw)
 
 
 class ErrorCurve(NamedTuple):
@@ -145,8 +91,8 @@ def run_fig2(seed: int = 0, norms: Sequence[float] = (0.5, 2.5),
         mod = MatrixAlgebra(kit, dimension)
         sym = symmetric_terms(mod, x, y, m_top)
         std = standard_terms(mod, x, y, n_max)
-        err_sym = {k: kit.norm2(kit.sub(ref, prod))
-                   for k, prod in symmetric_products(kit, x, y, sym)}
+        err_sym = {k: kit.norm2(kit.sub(ref, kit.matmul(left, right)))
+                   for k, left, right in symmetric_products(kit, x, y, sym)}
         err_std = {k: kit.norm2(kit.sub(ref, prod))
                    for k, prod in standard_products(kit, x, y, std) if k > 1}
 
@@ -231,9 +177,9 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
     for lam in lam_grid:
         ref = kit.expm(kit.scale(lam, kit.add(x, y)))
         a, b = kit.scale(lam, x), kit.scale(lam, y)
-        err_sym = {k: kit.frobenius(kit.sub(ref, prod))
-                   for k, prod in symmetric_products(kit, b, a,
-                                                     rescaled(sym, lam))
+        err_sym = {k: kit.frobenius(kit.sub(ref, kit.matmul(left, right)))
+                   for k, left, right in symmetric_products(
+                       kit, b, a, rescaled(sym, lam))
                    if k in marks}
         err_std = {}
         if include_standard:
@@ -298,15 +244,14 @@ def write_boundary_csv(x_values: Sequence[float], depth: int, seed: int,
     write_lines(path, boundary_csv_lines(rows, depth, seed, threshold, points))
 
 
-def run_boundary_csv(config: ExperimentConfig) -> str:
+def run_boundary_csv(depth: int = 401, seed: int = 0,
+                     path="boundary.csv") -> str:
     """Scan the domain boundary and write the CSV; returns the path written.
 
     Grid: x = 0.001 then 0.05..2.0 in steps of 0.05, mirrored so the rows
     describe the union of the domain and its x<->y reflection.
     """
-    depth = config.max_degree if config.max_degree is not None else 401
-    path = config.out if config.out else "boundary.csv"
-    write_boundary_csv(DEFAULT_X_GRID, depth, config.seed, True, path)
+    write_boundary_csv(DEFAULT_X_GRID, depth, seed, True, path)
     return path
 
 

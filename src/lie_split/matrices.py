@@ -348,9 +348,10 @@ def frechet_pair(kit, alpha):
 
 def symmetric_products(kit, a, b, terms: Dict[int, object]):
     """Truncated palindromic products of the scaled pair (a, b) and its
-    exponents ``terms`` ({k: C_k} at the same scale): yields
-    (1, e^{a/2} e^{b/2} e^{b/2} e^{a/2}), then (k, product through
-    exp(C_k)) for every k in ascending order."""
+    exponents ``terms`` ({k: C_k} at the same scale), as halves: yields
+    (1, e^{a/2} e^{b/2}, e^{b/2} e^{a/2}), then (k, left, right) through
+    exp(C_k) for every k in ascending order; the product is
+    kit.matmul(left, right)."""
     half = Fraction(1, 2)
     return palindromic_products(
         kit.matmul, kit.expm(kit.scale(half, a)), kit.expm(kit.scale(half, b)),
@@ -388,9 +389,9 @@ def psi_symmetric(kit, x, y, lam, n: int):
     terms = {}
     if m >= 3:
         terms = symmetric_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, m)
-    for _, prod in symmetric_products(kit, a, b, terms):
+    for _, left, right in symmetric_products(kit, a, b, terms):
         pass
-    return prod
+    return kit.matmul(left, right)
 
 
 def psi_standard(kit, x, y, lam, n: int):

@@ -289,3 +289,110 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
     code, _, _ = run(capsys, "terms", "--format", "yaml")
     assert code == 1
+
+
+def _config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["terms", "--seed", "1"],
+    ["expand", "--precision", "extended"],
+    ["structconst", "solvable3", "--seed", "1"],
+    ["verify", "--precision", "extended"],
+    ["convergence", "--point", "1", "1", "--precision", "extended"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
+def test_negative_seed_exits_one_from_flag_and_config(tmp_path, capsys):
+    code, _, err = run(capsys, "fig3", "--seed", "-4", "--lam-grid", "0.5",
+                       "--n-list", "3", "--out", str(tmp_path / "f3.csv"))
+    assert code == 1
+    assert "non-negative" in err
+    cfg = _config(tmp_path, {"seed": -1})
+    code, _, err = run(capsys, "fig2", "--config", cfg)
+    assert code == 1
+    assert "non-negative" in err
+    assert not (tmp_path / "f3.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--dimension", "0"],
+    ["fig2", "--norms", "0.5,-1", "--dimension", "3", "--n-max", "7"],
+    ["fig3", "--lam-grid", "0.0,0.5"],
+    ["fig3", "--lam-grid", "0.5,1.5"],
+])
+def test_out_of_range_values_exit_one(tmp_path, capsys, argv):
+    target = tmp_path / "out.csv"
+    code, _, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1
+    assert "error:" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"precision": "half"}, "invalid choice"),
+    ([1, 2, 3], "must be a JSON object"),
+    ({"experiment": "fig3", "seed": 1}, "config is for experiment 'fig3'"),
+    ({"max_degree": 11}, "unknown config keys: max_degree"),
+])
+def test_bad_config_exits_one(tmp_path, capsys, payload, message):
+    code, _, err = run(capsys, "fig2", "--config", _config(tmp_path, payload))
+    assert code == 1
+    assert message in err
+
+
+def test_config_of_another_subcommand_is_rejected(tmp_path, capsys):
+    # keys are the subcommand's own flags: a boundary scan has no norms
+    cfg = _config(tmp_path, {"scan": "0.1:0.9:3", "norms": [1.0, 2.0]})
+    code, _, err = run(capsys, "convergence", "--config", cfg)
+    assert code == 1
+    assert "unknown config keys: norms" in err
+
+
+def test_fig3_config_takes_effect_and_flags_win(tmp_path, capsys):
+    target = tmp_path / "f3.csv"
+    cfg = _config(tmp_path, {"experiment": "fig3", "seed": 7,
+                             "lam_grid": [0.25, 0.5], "n_list": [3, 5],
+                             "out": str(target)})
+    code, out, _ = run(capsys, "fig3", "--config", cfg, "--seed", "2")
+    assert code == 0
+    assert out.strip() == str(target)
+    lines = target.read_text().splitlines()
+    assert lines[0].endswith("seed=2")
+    assert [tuple(line.split(",")[:2]) for line in lines[3:]] == [
+        ("0.25", "3"), ("0.5", "3"), ("0.25", "5"), ("0.5", "5")]
+
+
+def test_eval_matrix_config_out_writes_matrix(tmp_path, capsys):
+    target = tmp_path / "approx.csv"
+    cfg = _config(tmp_path, {"random": 3, "target": 0.4, "max_degree": 5,
+                             "out": str(target)})
+    code, out, _ = run(capsys, "eval-matrix", "--config", cfg)
+    assert code == 0
+    assert str(target) in out
+    assert np.loadtxt(target, delimiter=",").shape == (3, 3)
+
+
+def test_convergence_point_out_writes_line(tmp_path, capsys):
+    target = tmp_path / "point.txt"
+    code, out, _ = run(capsys, "convergence", "--point", "0.5", "0.5",
+                       "--out", str(target))
+    assert code == 0
+    assert out.strip() == str(target)
+    ratio = converges(0.5, 0.5, 401)[1]
+    assert target.read_text() == f"converges=true ratio_tail={ratio}\n"
+
+
+def test_convergence_config_point_and_mirror(tmp_path, capsys):
+    cfg = _config(tmp_path, {"point": [0.001, 5.0], "mirror": True})
+    code, out, _ = run(capsys, "convergence", "--config", cfg)
+    assert code == 0
+    swapped = converges(5.0, 0.001, 401)[1]
+    assert out.strip() == f"converges=true ratio_tail={swapped}"

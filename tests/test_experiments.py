@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,56 +5,15 @@ import pytest
 
 from lie_split import __version__
 from lie_split.experiments import (DEFAULT_LAM_GRID, DEFAULT_X_GRID,
-                                   ErrorCurve, ExperimentConfig,
-                                   boundary_csv_lines, csv_header,
+                                   ErrorCurve, boundary_csv_lines, csv_header,
                                    fig2_csv_lines, fig3_csv_lines,
-                                   load_config, run_boundary_csv,
-                                   run_examples, run_fig2, run_fig3,
-                                   write_lines)
+                                   run_boundary_csv, run_examples, run_fig2,
+                                   run_fig3, write_lines)
 
 
 def test_csv_header_embeds_version_and_seed():
     line = csv_header("fig2", 7)
     assert line == f"# lie-split v{__version__} experiment=fig2 seed=7"
-
-
-def test_config_validates_fields():
-    cfg = ExperimentConfig(experiment="fig3")
-    assert cfg.seed == 0 and cfg.precision == "double"
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig9")
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig2", seed=-1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig2", dimension=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig2", norms=(0.5, -1.0))
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig2", max_degree=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig3", lam_grid=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig3", lam_grid=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="fig3", precision="half")
-
-
-def test_load_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "fig2", "volume": 11}))
-    with pytest.raises(ValueError, match="unknown config keys"):
-        load_config(path)
-    path.write_text(json.dumps({"experiment": "boundary", "seed": 3,
-                                "norms": [1.0, 2.0]}))
-    cfg = load_config(path)
-    assert cfg.seed == 3 and cfg.norms == (1.0, 2.0)
-
-
-def test_load_config_requires_object(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError):
-        load_config(path)
 
 
 def test_default_grids_are_sane():
@@ -183,9 +141,7 @@ def test_boundary_csv_lines_layout():
 
 def test_run_boundary_csv_writes_file(tmp_path):
     out = tmp_path / "b.csv"
-    cfg = ExperimentConfig(experiment="boundary", max_degree=51,
-                           out=str(out))
-    path = run_boundary_csv(cfg)
+    path = run_boundary_csv(depth=51, path=str(out))
     assert path == str(out)
     text = out.read_text().splitlines()
     assert text[0] == csv_header("boundary", 0)

@@ -68,7 +68,7 @@ def test_jacobi_under_expansion(a, b, c):
     assert expands_equal(cyclic, LieCombo.zero())
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda d: st.tuples(combos_of_degree(d), combos_of_degree(d))),
     coeffs, coeffs)
