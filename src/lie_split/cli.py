@@ -3,11 +3,13 @@
 Subcommands: terms, expand, eval-matrix, convergence, structconst, fig2,
 fig3, verify.  Each subcommand takes only the flags its handler reads:
 --out and --config on all of them, --seed on eval-matrix, convergence,
-fig2 and fig3, --precision on eval-matrix, fig2 and fig3.  A config file
-is a JSON object of the same flags, keyed by flag name (``lam_grid`` for
---lam-grid); it is parsed ahead of the command line, so explicit flags win
-and both sources pass the same checks.  Exit codes: 0 success, 1
-validation or I/O failure, 2 when the verify suite reports a failing check.
+fig2 and fig3 (rejected with eval-matrix --x/--y and convergence --point,
+which draw nothing from it), --precision on eval-matrix, fig2 and fig3.
+A config file is a JSON object of the same flags, keyed by flag name
+(``lam_grid`` for --lam-grid); it is parsed ahead of the command line, so
+explicit flags win and both sources pass the same checks.  Exit codes: 0
+success, 1 validation or I/O failure, 2 when the verify suite reports a
+failing check.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if seed:
-            p.add_argument("--seed", type=_seed, default=0)
+            p.add_argument("--seed", type=_seed, default=None)  # None: 0
         if precision:
             p.add_argument("--precision", choices=("double", "extended"),
                            default="double")
@@ -227,9 +229,12 @@ def _cmd_eval_matrix(args) -> int:
     if args.random is not None:
         if args.x_path or args.y_path:
             raise ValueError("give either --random or --x/--y, not both")
-        x = random_matrix(args.random, args.target, args.seed)
-        y = random_matrix(args.random, args.target, args.seed + 1)
+        seed = args.seed or 0
+        x = random_matrix(args.random, args.target, seed)
+        y = random_matrix(args.random, args.target, seed + 1)
     elif args.x_path and args.y_path:
+        if args.seed is not None:
+            raise ValueError("--seed draws --random pairs; --x/--y read none")
         x = load_matrix_csv(args.x_path)
         y = load_matrix_csv(args.y_path)
     else:
@@ -252,6 +257,8 @@ def _cmd_convergence(args) -> int:
     if (args.scan is None) == (args.point is None):
         raise ValueError("convergence needs exactly one of --scan or --point")
     if args.point is not None:
+        if args.seed is not None:
+            raise ValueError("--seed labels --scan output; --point reads none")
         xn, yn = args.point
         points = [(xn, yn), (yn, xn)] if args.mirror else [(xn, yn)]
         ratio = min(r for _, r in converges_many(points, args.depth))
@@ -269,7 +276,7 @@ def _cmd_convergence(args) -> int:
         raise ValueError("scan needs x1 > x0 and at least 2 steps")
     grid = np.linspace(x0, x1, steps)
     out = args.out or "boundary.csv"
-    write_boundary_csv(grid, args.depth, args.seed, args.mirror, out)
+    write_boundary_csv(grid, args.depth, args.seed or 0, args.mirror, out)
     print(out)
     return 0
 
@@ -336,11 +343,14 @@ def _cmd_fig2(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     kit = kit_for(args.precision)
-    curve_sets = [run_fig2(seed=args.seed + trial, norms=args.norms,
-                           n_max=args.n_max, dimension=args.dimension, kit=kit)
+    seed = args.seed or 0
+    # run_fig2 draws two matrices per norm, from consecutive seeds
+    curve_sets = [run_fig2(seed=seed + 2 * len(args.norms) * trial,
+                           norms=args.norms, n_max=args.n_max,
+                           dimension=args.dimension, kit=kit)
                   for trial in range(args.trials)]
     write_lines(args.out, fig2_csv_lines(_mean_curves(curve_sets, kit),
-                                         args.seed, args.precision))
+                                         seed, args.precision))
     print(args.out)
     return 0
 
@@ -352,7 +362,8 @@ def _cmd_fig3(args) -> int:
         raise ValueError(f"--alpha expects a rational like 1/5, got {args.alpha!r}")
     curves = run_fig3(alpha=alpha, lam_grid=args.lam_grid, n_list=args.n_list,
                       precision=args.precision)
-    write_lines(args.out, fig3_csv_lines(curves, args.seed, args.precision))
+    write_lines(args.out, fig3_csv_lines(curves, args.seed or 0,
+                                         args.precision))
     print(args.out)
     return 0
 

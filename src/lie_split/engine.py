@@ -17,12 +17,15 @@ with every even-degree exponent vanishing identically.  The recursion below
 maintains two rows of homogeneous elements per odd level k: the "left" row
 (log-derivative of the left-peeled remainder, sign-alternating updates) and
 the "right" row (log-derivative of the right closing product).  The exponent
-of the next level is a scaled difference of the two rows.  Each row is one
-stack (``series.stack_ops``): for matrices of either kit (float64 or mpmath)
-a (top+1, n, n) array advanced by one broadcast bracket per ad power; for
-the symbolic and structure-constant modules a list advanced by one module
-call per entry.  Every 1/j! is folded into the step that builds the j-th
-power, so intermediates stay the size of the terms.
+of the next level is a scaled difference of the two rows.  The one-sided
+exponents D_k of exp(hX) exp(hY) exp(h^2 D_2) exp(h^3 D_3) ... come from
+one such row, advanced by the same level step; the series peels below
+recompute both kinds of exponent and serve only as oracles.  Each row is
+one stack (``series.stack_ops``): for matrices of either kit (float64 or
+mpmath) a (top+1, n, n) array advanced by one broadcast bracket per ad
+power; for the symbolic and structure-constant modules a list advanced by
+one module call per entry.  Every 1/j! is folded into the step that builds
+the j-th power, so intermediates stay the size of the terms.
 """
 
 from __future__ import annotations
@@ -42,6 +45,27 @@ def _is_zero(mod, v) -> bool:
     return probe(v) if probe is not None else False
 
 
+def _anti_diagonals(mod, ops, head, x, y, first, top: int):
+    """Stack d[0..top] of the anti-diagonal sums
+    d[l] = sum_{m+i=l} ad_y^m col[i] / m! of the column
+    col = [head, b_1, ..., b_top], b_j = first ad_x^j y / j!, built over one
+    stack W_m = ad_y^m col / m! advanced by one ad_y step (over every entry
+    at once) per m.  ``first`` rides on the first ad_x step instead of
+    costing a scaling.
+    """
+    col = [head]
+    power = y
+    for j in range(1, top + 1):
+        c = first if j == 1 else Fraction(1, j)
+        power = mod.scale(c, mod.bracket(x, power))
+        col.append(power)
+    w = ops.stack(col, top + 1)
+    diagonals = ops.copy(w)
+    for m in range(1, top + 1):
+        w = ops.ad_into(diagonals, m, y, w[:top + 1 - m], Fraction(1, m))
+    return diagonals
+
+
 def _seed_rows(mod, ops, x, y, top: int):
     """Rows at level 1 for l = 0..top, as stacks.
 
@@ -50,58 +74,45 @@ def _seed_rows(mod, ops, x, y, top: int):
               + sum_{j=0..l} ad_y^(l-j) ad_x^j y / (j! (l-j)!) )
     right[l] = ad_y^l x / (l! 2^(l+1))
 
-    Built over one stack W_m = ad_y^m [x, b_1, ..., b_top] / m!, advanced
-    one ad_y step (over every entry at once) per m, with
-    b_j = 2 ad_x^j y / j!.  Entry 0 gives ad_y^m x / m!.  Every entry,
-    summed along anti-diagonals m + i = l, gives the bracket of left[l]:
-    ad_y^l x / l! plus twice the sum above, whose j = 0 term ad_y^l y
-    vanishes for l >= 1.  Level l = 0 is (x+y)/2 instead, and the doubling
-    rides on the first ad_x step instead of costing a scaling.
+    The bracket of left[l] is the anti-diagonal sum with head x and
+    first = 2: ad_y^l x / l! plus twice the sum above, whose j = 0 term
+    ad_y^l y vanishes for l >= 1.  Level l = 0 is (x+y)/2 instead.
     """
-    col = [x]
-    power = y
-    for j in range(1, top + 1):
-        c = Fraction(2) if j == 1 else Fraction(1, j)
-        power = mod.scale(c, mod.bracket(x, power))
-        col.append(power)
-    w = ops.stack(col, top + 1)
-    ady_x = [x]
-    diagonals = ops.copy(w)
-    for m in range(1, top + 1):
-        w = ops.ad_into(diagonals, m, y, w[:top + 1 - m], Fraction(1, m))
-        ady_x.append(ops.entry(w, 0))
-
+    diagonals = _anti_diagonals(mod, ops, x, x, y, Fraction(2), top)
     half_sum = mod.scale(Fraction(1, 2), mod.add(x, y))
     left = [half_sum]
     right = [half_sum]
+    ady_x = x
     for l in range(1, top + 1):
+        ady_x = mod.scale(Fraction(1, l), mod.bracket(y, ady_x))
         left.append(mod.scale(Fraction((-1) ** l, 2 ** (l + 1)),
                               ops.entry(diagonals, l)))
-        right.append(mod.scale(Fraction(1, 2 ** (l + 1)), ady_x[l]))
+        right.append(mod.scale(Fraction(1, 2 ** (l + 1)), ady_x))
     return ops.stack(left, top + 1), ops.stack(right, top + 1)
 
 
 # ---------------------------------------------------------------------------
-# Palindromic term recursion
+# Term recursions
 
-def _advance_row(mod, ops, row, ck, k: int, sign: int):
+def _advance_row(mod, ops, row, ck, k: int, sign: int, low: int = 0):
     """One level step over a row stack: new[m + k j] gets
-    (sign^j / j!) ad_{C_k}^j row[m] for every j >= 0, one ad step over the
-    whole shifted stack per j with its 1/j folded in; then the l = k-1
-    entry is corrected by sign * k * C_k.  Corrections are never fed through
-    ad_{C_k} at the same level, which keeps term lists free of bracket pairs
-    that only cancel after expansion.
+    (sign^j / j!) ad_{C_k}^j row[m] for every m >= low and j >= 0, one ad
+    step over the whole shifted stack per j with its 1/j folded in; then
+    the l = k-1 entry, unless below low, is corrected by sign * k * C_k.
+    Corrections are never fed through ad_{C_k} at the same level, which
+    keeps term lists free of bracket pairs that only cancel after expansion.
     """
     top = len(row) - 1
     new = ops.copy(row)  # j = 0 contribution
     if not _is_zero(mod, ck):
-        power = ops.nonzero(row[:top + 1 - k])
+        power = ops.nonzero(row[low:top + 1 - k])
         j = 1
-        while k * j <= top:
-            power = ops.ad_into(new, k * j, ck, power[:top + 1 - k * j],
+        while low + k * j <= top:
+            power = ops.ad_into(new, low + k * j, ck,
+                                power[:top + 1 - low - k * j],
                                 Fraction(sign, j))
             j += 1
-    if k - 1 <= top:
+    if low <= k - 1 <= top:
         new[k - 1] = mod.add(new[k - 1], mod.scale(Fraction(sign * k), ck))
     return new
 
@@ -133,8 +144,34 @@ def symmetric_terms(mod, x, y, max_degree: int) -> Dict[int, object]:
     return terms
 
 
+def one_sided_terms(mod, x, y, max_degree: int) -> Dict[int, object]:
+    """One-sided splitting exponents D_2, ..., D_max_degree of
+    exp(lambda(x+y)) = exp(lambda x) exp(lambda y) exp(lambda^2 D_2) ...,
+    by the one-row recursion of Casas, Murua & Nadinic (2012).
+
+    The seed f[l] = (-1)^l sum_{j=1..l} ad_y^(l-j) ad_x^j y / (j! (l-j)!)
+    is the anti-diagonal pass of (-x, -y) with head 0 and first = -1
+    (b_1 = -[-x, -y] = ad_{-x} y), since (-1)^l = (-1)^j (-1)^(l-j).  Level k sets D_k = f[k-1] / k and advances
+    the row by exp(-ad_{D_k}).  Afterwards every entry below k vanishes
+    (entry k-1 by the correction -k D_k, which is never read), so the step
+    runs over the entries from k on, and only while 2k <= max_degree - 1.
+    """
+    if max_degree < 2:
+        raise ValueError("max_degree must be at least 2")
+    top = max_degree - 1
+    ops = stack_ops(mod)
+    row = _anti_diagonals(mod, ops, mod.zero(), mod.scale(-1, x),
+                          mod.scale(-1, y), Fraction(-1), top)
+    terms: Dict[int, object] = {}
+    for k in range(2, max_degree + 1):
+        terms[k] = mod.scale(Fraction(1, k), row[k - 1])
+        if 2 * k <= top:
+            row = _advance_row(mod, ops, row, terms[k], k, sign=-1, low=k)
+    return terms
+
+
 # ---------------------------------------------------------------------------
-# Series-peeling constructions (independent of the recursion above)
+# Series-peeling constructions (independent of the recursions above)
 
 def oracle_symmetric_terms(algebra, x, y, order: int) -> Dict[int, object]:
     """Exponents C_2..C_order recovered one degree at a time by conjugating

@@ -21,7 +21,7 @@ from mpmath import mp
 
 from . import __version__
 from .bounds import Y_CAP, boundary_scan, converges_many, crude_r_sequence
-from .engine import standard_terms, symmetric_terms
+from .engine import one_sided_terms, symmetric_terms
 from .matrices import (MatrixAlgebra, NumpyKit, frechet_pair, kit_for,
                        random_matrix, standard_products, symmetric_products)
 from .scalars import UniPoly
@@ -90,7 +90,7 @@ def run_fig2(seed: int = 0, norms: Sequence[float] = (0.5, 2.5),
         ref = kit.expm(kit.add(x, y))
         mod = MatrixAlgebra(kit, dimension)
         sym = symmetric_terms(mod, x, y, m_top)
-        std = standard_terms(mod, x, y, n_max)
+        std = one_sided_terms(mod, x, y, n_max)
         err_sym = {k: kit.norm2(kit.sub(ref, kit.matmul(left, right)))
                    for k, left, right in symmetric_products(kit, x, y, sym)}
         err_std = {k: kit.norm2(kit.sub(ref, prod))
@@ -166,7 +166,7 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
     xs, ys = kit.scale(shrink, x), kit.scale(shrink, y)
     mod = MatrixAlgebra(kit, 2)
     sym = symmetric_terms(mod, ys, xs, top)
-    std = standard_terms(mod, xs, ys, top) if include_standard else None
+    std = one_sided_terms(mod, xs, ys, top) if include_standard else None
 
     def rescaled(terms, lam):
         with kit.context():

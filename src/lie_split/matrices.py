@@ -7,11 +7,12 @@ MPKit holds mpmath numbers at a configurable number of significant digits
 (>= 30 for the extended mode) in numpy object arrays.  MatrixAlgebra adapts a
 kit to both the ad-module interface of the term recursion and the
 associative-algebra interface of the series peelers.  For both kits it
-carries ArrayStack, which holds a row of coefficients as one (count, n, n)
-array, so the recursion and the series product run as broadcast matrix
+carries ArrayStack, which holds a row of the term recursions as one
+(count, n, n) array, so both splittings' rows advance by broadcast matrix
 products instead of one call per entry; the kit supplies the scalar
 conversion, the zero fill and the context (float error state or mpmath
-working precision) those calls run in.  symmetric_products and
+working precision) those calls run in.  Series products (the peeling
+oracles) stay one kit call per coefficient pair.  symmetric_products and
 standard_products build every truncated product of the two splittings.
 """
 
@@ -25,7 +26,7 @@ import scipy.linalg
 
 import mpmath as mp
 
-from .engine import palindromic_products, standard_terms, symmetric_terms
+from .engine import one_sided_terms, palindromic_products, symmetric_terms
 
 
 class NumpyKit:
@@ -201,8 +202,6 @@ class ArrayStack:
         self.n = n
 
     def stack(self, elems, length: int) -> np.ndarray:
-        if isinstance(elems, np.ndarray) and len(elems) == length:
-            return elems
         out = self.kit.zeros(length, self.n, self.n)
         if len(elems):
             out[:len(elems)] = elems
@@ -214,16 +213,8 @@ class ArrayStack:
     def entry(self, s, i):
         return s[i].copy()
 
-    def support(self, s) -> list:
-        return np.flatnonzero(s.reshape(len(s), -1).any(axis=1)).tolist()
-
     def nonzero(self, s):
         return s
-
-    def scale(self, c, s):
-        kit = self.kit
-        with kit.context():
-            return s * kit.scalar(c)
 
     def ad_into(self, dst, offset: int, c, s, coef):
         # the sum shares the products' context: entering np.errstate costs
@@ -235,30 +226,6 @@ class ArrayStack:
             out *= kit.scalar(coef)
             dst[offset:offset + len(out)] += out
         return out
-
-    def add_into(self, dst, offset: int, src) -> None:
-        with self.kit.context():
-            dst[offset:offset + len(src)] += src
-
-    def mul_into(self, dst, offset: int, a, s, idx) -> None:
-        # slices, not fancy indexing: gathering and scattering the operands
-        # costs several times the products themselves at n = 50
-        with self.kit.context():
-            for start, stop in _runs(idx):
-                dst[offset + start:offset + stop] += a @ s[start:stop]
-
-
-def _runs(idx):
-    """An ascending index list as (start, stop) runs of consecutive indices."""
-    runs = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            runs.append((start, prev + 1))
-            start = i
-        prev = i
-    runs.append((start, prev + 1))
-    return runs
 
 
 def kit_for(precision: str):
@@ -400,7 +367,7 @@ def psi_standard(kit, x, y, lam, n: int):
     if n < 2:
         raise ValueError("n must be at least 2")
     a, b = _scaled_pair(kit, x, y, lam)
-    terms = standard_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, n)
+    terms = one_sided_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, n)
     for _, prod in standard_products(kit, a, b, terms):
         pass
     return prod

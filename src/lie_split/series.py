@@ -6,12 +6,13 @@ supplied as a small context object (zero/unit/add/scale/mul), so the same
 series code runs over exact noncommutative polynomials, float matrices and
 extended-precision matrices.
 
-Coefficient lists, and the rows of the term recursion in ``engine``, are
-held as *stacks*.  A module or algebra that has a ``stacks`` attribute
-supplies its own (matrices of both precision kits: one (count, n, n) array,
-see ``matrices.ArrayStack``); every other one (exact polynomials, free Lie
-combinations, structure constants) gets a ``ListStack``, a Python list whose
-operations are single calls into the module itself.
+Coefficients are a Python list, one algebra call per coefficient product
+or sum, whatever the algebra.  The rows of the term recursion in ``engine``
+are held as *stacks*: a module that has a ``stacks`` attribute supplies
+its own (matrices of both precision kits: one (count, n, n) array, see
+``matrices.ArrayStack``); every other one (exact polynomials, free Lie
+combinations, structure constants) gets a ``ListStack``, a Python list
+whose operations are single calls into the module itself.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ class AssocPolyAlgebra:
 
 class ListStack:
     """Stack of elements as a Python list; each operation is one call into
-    the module (zero/add/scale/bracket) or algebra (mul) it was built from.
+    the module (zero/add/scale/bracket) it was built from.
 
-    ``nonzero`` marks known-zero entries as None; the operations that take
-    a stack skip None entries, so zeros are tested once, on the input.
+    ``nonzero`` marks known-zero entries as None; ``ad_into`` skips None
+    entries, so zeros are tested once, on the input.
     """
 
     def __init__(self, mod):
@@ -70,10 +71,6 @@ class ListStack:
     def entry(self, s, i):
         return s[i]
 
-    def support(self, s) -> list:
-        """Indices of the entries not known to be zero."""
-        return [i for i, v in enumerate(self.nonzero(s)) if v is not None]
-
     def nonzero(self, s) -> list:
         """The stack with its known-zero entries replaced by None."""
         probe = getattr(self.mod, "is_zero", None)
@@ -81,30 +78,16 @@ class ListStack:
             return list(s)
         return [None if probe(v) else v for v in s]
 
-    def scale(self, c, s) -> list:
-        return [self.mod.scale(c, v) for v in s]
-
     def ad_into(self, dst, offset: int, c, s, coef) -> list:
         """coef * [c, s_i] for every entry, returned and also added into
         dst[offset + i]."""
         mod = self.mod
         out = [None if v is None else mod.scale(coef, mod.bracket(c, v))
                for v in s]
-        self.add_into(dst, offset, out)
-        return out
-
-    def add_into(self, dst, offset: int, src) -> None:
-        """dst[offset + i] += src[i]."""
-        add = self.mod.add
-        for i, v in enumerate(src):
+        for i, v in enumerate(out):
             if v is not None:
-                dst[offset + i] = add(dst[offset + i], v)
-
-    def mul_into(self, dst, offset: int, a, s, idx) -> None:
-        """dst[offset + j] += a s[j] for j in idx."""
-        alg = self.mod
-        for j in idx:
-            dst[offset + j] = alg.add(dst[offset + j], alg.mul(a, s[j]))
+                dst[offset + i] = mod.add(dst[offset + i], v)
+        return out
 
 
 def stack_ops(mod):
@@ -115,9 +98,10 @@ def stack_ops(mod):
 
 
 class TruncSeries:
-    """Coefficients c[0..order] as one stack; immutable by convention."""
+    """Coefficients c[0..order] as a list (see ``ListStack``); immutable by
+    convention."""
 
-    __slots__ = ("algebra", "order", "coeffs", "ops")
+    __slots__ = ("algebra", "order", "coeffs")
 
     def __init__(self, algebra, coeffs: Sequence, order: int):
         if order < 0:
@@ -126,8 +110,7 @@ class TruncSeries:
             raise ValueError("more coefficients than the order allows")
         self.algebra = algebra
         self.order = order
-        self.ops = stack_ops(algebra)
-        self.coeffs = self.ops.stack(coeffs, order + 1)
+        self.coeffs = ListStack(algebra).stack(coeffs, order + 1)
 
     @classmethod
     def unit(cls, algebra, order: int) -> "TruncSeries":
@@ -140,38 +123,38 @@ class TruncSeries:
     def coefficient(self, power: int):
         if not (0 <= power <= self.order):
             raise ValueError(f"power {power} outside series order {self.order}")
-        return self.ops.entry(self.coeffs, power)
+        return self.coeffs[power]
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        out = self.ops.copy(self.coeffs)
-        self.ops.add_into(out, 0, other.coeffs)
-        return TruncSeries(self.algebra, out, self.order)
+        add = self.algebra.add
+        return TruncSeries(self.algebra, [add(a, b) for a, b in
+                                          zip(self.coeffs, other.coeffs)],
+                           self.order)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        out = self.ops.copy(self.coeffs)
-        self.ops.add_into(out, 0, self.ops.scale(-1, other.coeffs))
-        return TruncSeries(self.algebra, out, self.order)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "TruncSeries":
-        return TruncSeries(self.algebra, self.ops.scale(c, self.coeffs),
+        return TruncSeries(self.algebra,
+                           [self.algebra.scale(c, v) for v in self.coeffs],
                            self.order)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy product truncated at the common order: for each nonzero
         a[i], out[i + j] += a[i] b[j] over the nonzero b[j], j <= order - i."""
         self._check(other)
-        ops = self.ops
+        alg = self.algebra
         n = self.order
-        a, b = self.coeffs, other.coeffs
+        ops = ListStack(alg)
+        a, b = ops.nonzero(self.coeffs), ops.nonzero(other.coeffs)
         out = ops.stack([], n + 1)
-        b_support = ops.support(b)
-        for i in ops.support(a):
-            idx = b_support[:bisect_right(b_support, n - i)]
-            if idx:
-                ops.mul_into(out, i, a[i], b, idx)
-        return TruncSeries(self.algebra, out, n)
+        b_support = [j for j, v in enumerate(b) if v is not None]
+        for i, ai in enumerate(a):
+            if ai is not None:
+                for j in b_support[:bisect_right(b_support, n - i)]:
+                    out[i + j] = alg.add(out[i + j], alg.mul(ai, b[j]))
+        return TruncSeries(alg, out, n)
 
     def _check(self, other):
         if self.order != other.order:
@@ -190,7 +173,7 @@ def exp_factor(algebra, elem, power: int, order: int) -> TruncSeries:
     if power < 1:
         raise ValueError("power must be at least 1")
     unit = algebra.unit()
-    coeffs = stack_ops(algebra).stack([unit], order + 1)
+    coeffs = ListStack(algebra).stack([unit], order + 1)
     term = unit
     j = 1
     while power * j <= order:

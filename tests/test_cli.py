@@ -5,7 +5,7 @@ import pytest
 
 from lie_split.bounds import converges
 from lie_split.cli import main
-from lie_split.experiments import run_fig2
+from lie_split.experiments import fig2_csv_lines, run_fig2
 from lie_split.matrices import random_matrix, save_matrix_csv
 
 
@@ -209,6 +209,20 @@ def test_fig2_trials_average_is_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+def test_fig2_trials_draw_disjoint_pairs(tmp_path, capsys):
+    # run_fig2 draws seeds s .. s+3 for two norms, so trial 1 starts at s+4
+    target = tmp_path / "f2.csv"
+    code, _, _ = run(capsys, "fig2", "--n-max", "7", "--dimension", "4",
+                     "--seed", "3", "--trials", "2", "--out", str(target))
+    assert code == 0
+    first, second = (run_fig2(seed=s, n_max=7, dimension=4) for s in (3, 7))
+    for a, b in zip(first, second):
+        for i, (row_a, row_b) in enumerate(zip(a.rows, b.rows)):
+            a.rows[i] = (row_a[0], sum([row_a[1], row_b[1]]) / 2,
+                         sum([row_a[2], row_b[2]]) / 2)
+    assert target.read_text().splitlines() == fig2_csv_lines(first, 3)
+
+
 def _significant_digits(field):
     mantissa = field.lstrip("-").split("e")[0]
     return len(mantissa.replace(".", "").lstrip("0"))
@@ -320,6 +334,32 @@ def test_negative_seed_exits_one_from_flag_and_config(tmp_path, capsys):
     assert code == 1
     assert "non-negative" in err
     assert not (tmp_path / "f3.csv").exists()
+
+
+def test_seed_is_rejected_where_nothing_is_drawn(tmp_path, capsys):
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_matrix_csv(xp, random_matrix(3, 0.3, 1))
+    save_matrix_csv(yp, random_matrix(3, 0.3, 2))
+    pair = ["--x", str(xp), "--y", str(yp)]
+    for argv in (["eval-matrix", *pair, "--seed", "5"],
+                 ["convergence", "--point", "0.5", "0.5", "--seed", "7"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "--seed" in err and not out, argv
+    cfg = _config(tmp_path, {"seed": 0, "point": [0.5, 0.5]})
+    code, _, err = run(capsys, "convergence", "--config", cfg)
+    assert code == 1 and "--seed" in err
+    cfg = _config(tmp_path, {"seed": 0})
+    code, _, err = run(capsys, "eval-matrix", *pair, "--config", cfg)
+    assert code == 1 and "--seed" in err
+    # without --seed both run, and --seed still draws the --random pair
+    assert run(capsys, "eval-matrix", *pair)[0] == 0
+    assert run(capsys, "convergence", "--point", "0.5", "0.5")[0] == 0
+    _, seeded, _ = run(capsys, "eval-matrix", "--random", "3", "--seed", "4")
+    _, other, _ = run(capsys, "eval-matrix", "--random", "3", "--seed", "5")
+    _, default, _ = run(capsys, "eval-matrix", "--random", "3")
+    assert seeded != other
+    assert default == run(capsys, "eval-matrix", "--random", "3",
+                          "--seed", "0")[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from lie_split.engine import (_seed_rows, oracle_symmetric_terms,
+from lie_split.engine import (_seed_rows, one_sided_terms,
+                              oracle_symmetric_terms,
                               palindromic_product_series,
                               palindromic_products, standard_terms,
                               standard_terms_left, symmetric_terms)
@@ -164,6 +165,35 @@ def test_standard_terms_first_three_goldens():
           + bracket(Y, xxy).scale(Fraction(-1, 8))
           + bracket(Y, bracket(Y, xy)).scale(Fraction(-1, 8)))
     assert std[4] == expand_assoc(c4)
+
+
+def test_one_sided_terms_rejects_bad_degree():
+    with pytest.raises(ValueError):
+        one_sided_terms(MOD, X, Y, 1)
+
+
+def test_one_sided_terms_equal_the_series_peel_through_degree_nine():
+    # the recursion gives Lie elements, the peel associative polynomials
+    peel = standard_terms(AssocPolyAlgebra(), *assoc_pair(), 9)
+    terms = one_sided_terms(MOD, X, Y, 9)
+    assert sorted(terms) == list(range(2, 10))
+    for k in range(2, 10):
+        assert expand_assoc(terms[k]) == peel[k], k
+
+
+@pytest.mark.parametrize("dim,degree", [(5, 25), (20, 31)])
+def test_one_sided_terms_match_the_series_peel_in_double(dim, degree):
+    import numpy as np
+    from lie_split.matrices import MatrixAlgebra, NumpyKit, random_matrix
+    x = random_matrix(dim, 1.0, 31)
+    y = random_matrix(dim, 1.0, 32)
+    mod = MatrixAlgebra(NumpyKit(), dim)
+    terms = one_sided_terms(mod, x, y, degree)
+    peel = standard_terms(mod, x, y, degree)
+    assert sorted(terms) == sorted(peel)
+    for k in peel:
+        err = np.linalg.norm(terms[k] - peel[k]) / np.linalg.norm(peel[k])
+        assert err <= 1e-12, (k, err)
 
 
 def test_left_variant_alternates_signs():

@@ -99,6 +99,21 @@ def test_run_fig3_standard_terms_do_not_overflow():
     assert not deep.rows[1][2] <= 1.0
 
 
+def test_figures_and_psi_standard_form_no_series_product(monkeypatch):
+    # the one-sided exponents come from the bracket recursion; the series
+    # peels are oracles only
+    from lie_split.matrices import NumpyKit, psi_standard, random_matrix
+    from lie_split.series import TruncSeries
+
+    def refuse(self, other):
+        raise AssertionError("series product on a figure path")
+    monkeypatch.setattr(TruncSeries, "__mul__", refuse)
+    run_fig2(seed=0, norms=(0.5,), n_max=7, dimension=3)
+    run_fig3(lam_grid=(0.5,), n_list=(5,))
+    psi_standard(NumpyKit(), random_matrix(3, 0.5, 0), random_matrix(3, 0.5, 1),
+                 0.5, 6)
+
+
 def test_run_fig3_validation():
     with pytest.raises(ValueError):
         run_fig3(alpha=0)
