@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if seed:
-            p.add_argument("--seed", type=_seed, default=None)  # None: 0
+            # None when not given: read as 0, or rejected where unread
+            p.add_argument("--seed", type=_seed, default=None)
         if precision:
             p.add_argument("--precision", choices=("double", "extended"),
                            default="double")
