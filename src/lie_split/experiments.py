@@ -129,7 +129,8 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
     Terms are computed once, for the pair scaled by a power of two, and
     rescaled per grid point (homogeneity).  Degrees in n_list must be odd:
     even degrees add no palindromic factor, so their curves duplicate the
-    preceding odd one.
+    preceding odd one.  They must also be distinct, as each gives one
+    curve.
     The lambda = 1 row is included even though the factored-exponential
     identity of the pair says nothing about convergence there.
 
@@ -148,6 +149,8 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
         raise ValueError("n_list must not be empty")
     if any(n < 3 or n % 2 == 0 for n in n_list):
         raise ValueError("n_list entries must be odd and at least 3")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError("n_list entries must be distinct")
     if any(not 0.0 < lam <= 1.0 for lam in lam_grid):
         raise ValueError("lambda values must lie in (0, 1]")
     kit = kit_for(precision)

@@ -14,6 +14,8 @@ conversion, the zero fill and the context (float error state or mpmath
 working precision) those calls run in.  Series products (the peeling
 oracles) stay one kit call per coefficient pair.  symmetric_products and
 standard_products build every truncated product of the two splittings.
+MPKit exponentiates a finite 2 x 2 matrix by its closed form (Putzer's
+formula) and any other matrix by mp.expm.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ class MPKit:
     held in numpy object arrays, so products and sums run as broadcast
     numpy calls over ``mpf`` entries.  Every operation runs inside
     ``mp.workdps(dps)``: ``mpf`` arithmetic outside it rounds to 53 bits.
-    The exponential and the norms convert to ``mp.matrix`` and use
-    mpmath's own algorithms."""
+    The exponential of a 2 x 2 matrix with finite entries is the
+    Cayley-Hamilton closed form, at guard digits that grow with the
+    entries' size; other exponentials and the norms convert to
+    ``mp.matrix`` and use mpmath's own algorithms."""
 
     name = "extended"
 
@@ -164,9 +168,40 @@ class MPKit:
             return a @ b - b @ a
 
     def expm(self, a):
+        if a.shape == (2, 2) and all(mp.isfinite(v) for v in a.flat):
+            return self._expm2(a)
         with mp.workdps(self.dps):
             return np.array(mp.expm(mp.matrix(a.tolist())).tolist(),
                             dtype=object)
+
+    def _expm2(self, a):
+        """Closed form of a finite 2 x 2 exponential (Putzer 1966;
+        Cayley-Hamilton): with m = (p+s)/2, h = (p-s)/2, d^2 = h^2 + qr,
+        e^A = e^m [[c + g h, g q], [g r, c - g h]], where c = cosh d and
+        g = sinh d / d (cos and sin of sqrt(-d^2) when d^2 < 0, and
+        c = g = 1 when d^2 = 0).  h^2 + qr cancels when the entries are
+        large and d is not, so the guard grows with twice their
+        exponent."""
+        peak = max(abs(mp.mpf(v)) for v in a.flat)
+        guard = 10
+        if peak > 1:
+            guard += 2 * int(mp.ceil(mp.log10(peak)))
+        with mp.workdps(self.dps + guard):
+            p, q, r, s = (mp.mpf(v) for v in a.flat)
+            m, h = (p + s) / 2, (p - s) / 2
+            d2 = h * h + q * r
+            if d2 > 0:
+                d = mp.sqrt(d2)
+                c, g = mp.cosh(d), mp.sinh(d) / d
+            elif d2 < 0:
+                w = mp.sqrt(-d2)
+                c, g = mp.cos(w), mp.sin(w) / w
+            else:
+                c = g = mp.mpf(1)
+            e = mp.exp(m)
+            out = [[e * (c + g * h), e * g * q], [e * g * r, e * (c - g * h)]]
+        with mp.workdps(self.dps):
+            return np.array([[+v for v in row] for row in out], dtype=object)
 
     def norm2(self, a):
         # svd_r overwrites its argument, here a fresh mp.matrix

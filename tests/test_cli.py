@@ -254,6 +254,19 @@ def test_fig3_small_grid(tmp_path, capsys):
     assert lines[3].startswith("0.13,5,")
 
 
+def test_fig3_rejects_repeated_degrees(tmp_path, capsys):
+    target = tmp_path / "f3.csv"
+    code, _, err = run(capsys, "fig3", "--lam-grid", "0.13,0.13",
+                       "--n-list", "5,5", "--out", str(target))
+    assert code == 1
+    assert "distinct" in err
+    assert not target.exists()
+    code, _, _ = run(capsys, "fig3", "--lam-grid", "0.13,0.13",
+                     "--n-list", "5", "--out", str(target))
+    assert code == 0
+    assert len(target.read_text().splitlines()) == 5
+
+
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out_path = tmp_path / "out.csv"

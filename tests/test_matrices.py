@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
 from lie_split.cli import main
 from lie_split.engine import symmetric_terms
+from lie_split.experiments import run_fig3
 from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
                                 kit_for, load_matrix_csv, psi_standard, psi_symmetric,
                                 random_matrix, save_matrix_csv,
@@ -232,3 +234,101 @@ def test_matrix_module_and_series_algebra_contracts():
     a = random_matrix(3, 0.5, 71)
     assert np.array_equal(mod.add(a, z), a)
     assert np.array_equal(alg.mul(alg.unit(), a), a)
+
+
+# ---------------------------------------------------------------------------
+# MPKit.expm: closed form for finite 2 x 2 input, mp.expm for the rest
+
+EXT = MPKit(50)
+
+
+def mp_expm(a):
+    with mp.workdps(50):
+        return np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=object)
+
+
+def no_mp_expm(*_):
+    raise AssertionError("mp.expm called")
+
+
+def assert_matches_mp_expm(a, got):
+    """got agrees with mp.expm(a) to 1e-45 relative to its largest entry;
+    beyond 1e300, also the log10 of that entry to 1e-45 relative."""
+    ref = mp_expm(a)
+    with mp.workdps(50):
+        assert all(mp.isfinite(v) and +v == v for v in got.flat)
+        peak = max(abs(v) for v in ref.flat)
+        err = max(abs(g - r) for g, r in zip(got.flat, ref.flat))
+        assert err <= mp.mpf("1e-45") * peak, (err, peak)
+        if peak > mp.mpf("1e300"):
+            top = max(abs(v) for v in got.flat)
+            drift = abs(mp.log10(top) - mp.log10(peak))
+            assert drift <= mp.mpf("1e-45") * abs(mp.log10(peak))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3, 4]],                  # d^2 > 0
+    [[-30, 7], [5, 12]],               # d^2 > 0, e^A far from 1
+    [[0, -2.5], [2.5, 0]],             # d^2 < 0: rotation generator
+    [[0.5, -3], [1, -0.25]],           # d^2 < 0
+    [[0, 1], [0, 0]],                  # d^2 = 0: nilpotent
+    [[2.5, 0], [0, 2.5]],              # d^2 = 0: multiple of I
+    [[0, 1], ["1e-60", 0]],            # d^2 = 1e-60
+    [[1, 1], ["-1e-60", 1]],           # d^2 = -1e-60
+    [["1e30", "-1e30"], ["1e30", "-1e30"]],   # d^2 = 0, huge entries
+], ids=lambda rows: str(rows))
+def test_extended_expm_closed_form_matches_mp_expm(monkeypatch, rows):
+    a = EXT.matrix(rows)
+    monkeypatch.setattr(mp, "expm", no_mp_expm)
+    got = EXT.expm(a)
+    monkeypatch.undo()
+    assert_matches_mp_expm(a, got)
+
+
+def test_extended_expm_closed_form_on_fig3_exponents_at_degree_201(
+        monkeypatch):
+    # lambda = 0.5, n = 201: these exponents have entries near 1e97, so
+    # h^2 + qr loses about 190 digits; ten guard digits miss by O(1) here
+    seen = []
+    expm = MPKit.expm
+    monkeypatch.setattr(MPKit, "expm",
+                        lambda kit, a: seen.append(a) or expm(kit, a))
+    run_fig3(lam_grid=(0.5,), n_list=(201,), precision="extended",
+             include_standard=False)
+    monkeypatch.undo()
+    # seen: the reference, two half-steps, then exp(C_3) ... exp(C_201)
+    assert len(seen) == 3 + 100
+    with mp.workdps(50):
+        for k in (145, 185, 197, 199, 201):
+            a = seen[3 + (k - 3) // 2]
+            assert max(abs(v) for v in a.flat) > mp.mpf("1e70")
+            assert_matches_mp_expm(a, EXT.expm(a))
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_extended_expm_sends_nonfinite_2x2_to_mp_expm(monkeypatch, bad):
+    a = EXT.matrix([[bad, 1], [0, 0]])
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        raise ArithmeticError("stopped at mp.expm")
+
+    monkeypatch.setattr(mp, "expm", spy)
+    with pytest.raises(ArithmeticError):
+        EXT.expm(a)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    if bad == "nan":
+        return  # mpmath 1.3.0's expm does not return on a nan entry
+    try:
+        got = EXT.expm(a)
+    except ValueError:
+        return
+    assert not all(mp.isfinite(v) for v in got.flat)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 81), (6, 82)])
+def test_extended_expm_beyond_2x2_is_mp_expm(n, seed):
+    a = EXT.from_numpy(random_matrix(n, 2.0, seed))
+    assert EXT.expm(a).tolist() == mp_expm(a).tolist()
