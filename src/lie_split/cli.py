@@ -335,8 +335,7 @@ def _mean_curves(curve_sets: List[List[ErrorCurve]], kit) -> List[ErrorCurve]:
                 stds = [cs[idx].rows[row_idx][2] for cs in curve_sets]
                 rows.append((value, sum(syms) / len(syms),
                              sum(stds) / len(stds)))
-            averaged.append(ErrorCurve(curve.label, curve.sweep, rows,
-                                       curve.carried))
+            averaged.append(ErrorCurve(curve.label, rows, curve.carried))
     return averaged
 
 

@@ -2,11 +2,13 @@
 
 Everything here is generic over two small interfaces:
 
-* an *ad-module*: zero / add / sub / scale / bracket.  The term recursion
-  is phrased purely in brackets, so one implementation serves free symbolic
-  combinations, concrete matrices and structure-constant algebras.
-* an associative algebra (zero / unit / add / scale / mul), used by the
-  series-peeling constructions that serve as independent cross-checks.
+* an *ad-module*: zero / add / sub / scale / bracket / is_zero.  The term
+  recursion is phrased purely in brackets, so one implementation serves
+  free symbolic combinations, concrete matrices and structure-constant
+  algebras.
+* an associative algebra (zero / unit / add / scale / mul / is_zero), used
+  by the series-peeling constructions that serve as independent
+  cross-checks.
 
 The palindromic splitting writes exp(h(X+Y)) as
 
@@ -22,10 +24,11 @@ exponents D_k of exp(hX) exp(hY) exp(h^2 D_2) exp(h^3 D_3) ... come from
 one such row, advanced by the same level step; the series peels below
 recompute both kinds of exponent and serve only as oracles.  Each row is
 one stack (``series.stack_ops``): for matrices of either kit (float64 or
-mpmath) a (top+1, n, n) array advanced by one broadcast bracket per ad
-power; for the symbolic and structure-constant modules a list advanced by
-one module call per entry.  Every 1/j! is folded into the step that builds
-the j-th power, so intermediates stay the size of the terms.
+mpmath) a (top+1, n, n) array, advanced by the kit itself with one
+broadcast bracket per ad power; for the symbolic and structure-constant
+modules a list advanced by one module call per entry.  Every 1/j! is
+folded into the step that builds the j-th power, so intermediates stay the
+size of the terms.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ from .series import TruncSeries, exp_factor, stack_ops
 
 # ---------------------------------------------------------------------------
 # Seeds
-
-def _is_zero(mod, v) -> bool:
-    probe = getattr(mod, "is_zero", None)
-    return probe(v) if probe is not None else False
-
 
 def _anti_diagonals(mod, ops, head, x, y, first, top: int):
     """Stack d[0..top] of the anti-diagonal sums
@@ -86,7 +84,7 @@ def _seed_rows(mod, ops, x, y, top: int):
     for l in range(1, top + 1):
         ady_x = mod.scale(Fraction(1, l), mod.bracket(y, ady_x))
         left.append(mod.scale(Fraction((-1) ** l, 2 ** (l + 1)),
-                              ops.entry(diagonals, l)))
+                              diagonals[l]))
         right.append(mod.scale(Fraction(1, 2 ** (l + 1)), ady_x))
     return ops.stack(left, top + 1), ops.stack(right, top + 1)
 
@@ -104,7 +102,7 @@ def _advance_row(mod, ops, row, ck, k: int, sign: int, low: int = 0):
     """
     top = len(row) - 1
     new = ops.copy(row)  # j = 0 contribution
-    if not _is_zero(mod, ck):
+    if not mod.is_zero(ck):
         power = ops.nonzero(row[low:top + 1 - k])
         j = 1
         while low + k * j <= top:

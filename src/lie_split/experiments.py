@@ -58,7 +58,6 @@ class ErrorCurve(NamedTuple):
     """One error-decay curve: rows (sweep value, symmetric, standard)."""
 
     label: str                     # constant of the curve ("0.5" or "201")
-    sweep: str                     # "n" or "lam"
     rows: List[tuple]
     carried: Optional[List[int]] = None   # per row: 1 if symmetric value
                                           # repeats the preceding odd degree
@@ -102,7 +101,7 @@ def run_fig2(seed: int = 0, norms: Sequence[float] = (0.5, 2.5),
             m = n if n % 2 == 1 else n - 1     # n = 2 reads the sandwich
             rows.append((n, err_sym[m], err_std[n]))
             carried.append(int(3 <= m < n))
-        curves.append(ErrorCurve(repr(float(target)), "n", rows, carried))
+        curves.append(ErrorCurve(repr(float(target)), rows, carried))
     return curves
 
 
@@ -192,7 +191,7 @@ def run_fig3(alpha=Fraction(1, 5), lam_grid: Optional[Sequence[float]] = None,
                        if k in marks}
         for n in n_list:
             rows[n].append((lam, err_sym[n], err_std.get(n)))
-    return [ErrorCurve(str(n), "lam", rows[n]) for n in n_list]
+    return [ErrorCurve(str(n), rows[n]) for n in n_list]
 
 
 def fig3_csv_lines(curves: Sequence[ErrorCurve], seed: int,

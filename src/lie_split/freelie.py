@@ -260,6 +260,10 @@ class FreeLieModule:
     def bracket(a: LieCombo, b: LieCombo) -> LieCombo:
         return bracket(a, b)
 
+    @staticmethod
+    def is_zero(a: LieCombo) -> bool:
+        return a.is_zero()
+
 
 # ---------------------------------------------------------------------------
 # Associative expansion

@@ -4,15 +4,16 @@ evaluation of the splitting products.
 A *kit* bundles the matrix operations the rest of the code needs (arithmetic,
 exponential, norms) for one precision level: NumpyKit wraps float64/scipy,
 MPKit holds mpmath numbers at a configurable number of significant digits
-(>= 30 for the extended mode) in numpy object arrays.  MatrixAlgebra adapts a
-kit to both the ad-module interface of the term recursion and the
-associative-algebra interface of the series peelers.  For both kits it
-carries ArrayStack, which holds a row of the term recursions as one
-(count, n, n) array, so both splittings' rows advance by broadcast matrix
-products instead of one call per entry; the kit supplies the scalar
-conversion, the zero fill and the context (float error state or mpmath
-working precision) those calls run in.  Series products (the peeling
-oracles) stay one kit call per coefficient pair.  symmetric_products and
+(>= 30 for the extended mode) in numpy object arrays.  Both kits hold their
+matrices as numpy arrays, so everything but the precision (the scalar type,
+the context the products run in, the exponential and the norms) is written
+once, in their common base.  That includes the stack operations: a kit
+holds a row of the term recursions as one (count, n, n) array, so both
+splittings' rows advance by broadcast matrix products instead of one call
+per entry.  MatrixAlgebra adapts a kit to both the ad-module interface of
+the term recursion and the associative-algebra interface of the series
+peelers; its ``stacks`` is the kit.  Series products (the peeling oracles)
+stay one kit call per coefficient pair.  symmetric_products and
 standard_products build every truncated product of the two splittings.
 MPKit exponentiates a finite 2 x 2 matrix by its closed form (Putzer's
 formula) and any other matrix by mp.expm.
@@ -31,27 +32,22 @@ import mpmath as mp
 from .engine import one_sided_terms, palindromic_products, symmetric_terms
 
 
-class NumpyKit:
-    """float64 matrices; scipy's scaling-and-squaring exponential."""
-
-    name = "double"
+class _ArrayKit:
+    """What both kits share: matrices as numpy arrays of ``dtype``, and the
+    stack operations of ``series.ListStack`` on (count, n, n) arrays.
+    Products run in the subclass's ``context``; ``scalar`` converts."""
 
     def zeros(self, *shape):
-        return np.zeros(shape)
+        return np.full(shape, self.scalar(0), dtype=self.dtype)
 
     def eye(self, n):
-        return np.eye(n)
+        out = self.zeros(n, n)
+        np.fill_diagonal(out, self.scalar(1))
+        return out
 
     def matrix(self, rows):
-        return np.array(rows, dtype=float)
-
-    def scalar(self, c):
-        return float(c)
-
-    def context(self):
-        """Context of the stack operations: float overflow is reported as
-        inf/nan in the values, not as warnings."""
-        return np.errstate(all="ignore")
+        return np.array([[self.scalar(v) for v in row] for row in rows],
+                        dtype=self.dtype)
 
     def dim(self, a):
         return a.shape[0]
@@ -63,17 +59,62 @@ class NumpyKit:
         return a - b
 
     def scale(self, c, a):
-        return float(c) * a
+        # array on the left: mpf * array would first try to convert the
+        # array to an mpf
+        return a * self.scalar(c)
 
     def matmul(self, a, b):
-        with np.errstate(all="ignore"):
+        with self.context():
             return a @ b
 
     def bracket(self, a, b):
-        return a @ b - b @ a
+        with self.context():
+            return a @ b - b @ a
+
+    def is_zero(self, a):
+        return not a.any()
+
+    def to_float(self, x):
+        return float(x)
+
+    # row stacks: the engine never stacks nothing
+
+    def stack(self, elems, length: int) -> np.ndarray:
+        out = self.zeros(length, *elems[0].shape)
+        out[:len(elems)] = elems
+        return out
+
+    def copy(self, s):
+        return s.copy()
+
+    def nonzero(self, s):
+        return s
+
+    def ad_into(self, dst, offset: int, c, s, coef):
+        # the sum shares the products' context: entering np.errstate costs
+        # more than the products of a 2x2 row
+        with self.context():
+            out = c @ s
+            out -= s @ c
+            out *= self.scalar(coef)
+            dst[offset:offset + len(out)] += out
+        return out
+
+
+class NumpyKit(_ArrayKit):
+    """float64 matrices; scipy's scaling-and-squaring exponential."""
+
+    name = "double"
+    dtype = float
+
+    def scalar(self, c):
+        return float(c)
+
+    def context(self):  # float overflow shows as inf/nan, not as warnings
+        return np.errstate(all="ignore")
 
     def expm(self, a):
-        with np.errstate(all="ignore"):
+        with self.context():
             return scipy.linalg.expm(a)
 
     def norm2(self, a):
@@ -93,17 +134,11 @@ class NumpyKit:
     def power(self, base, exponent: int):
         return float(base) ** exponent
 
-    def is_zero(self, a):
-        return not a.any()
-
-    def to_float(self, x):
-        return float(x)
-
     def from_numpy(self, a):
         return np.asarray(a, dtype=float)
 
 
-class MPKit:
+class MPKit(_ArrayKit):
     """mpmath numbers at a fixed working precision (significant digits),
     held in numpy object arrays, so products and sums run as broadcast
     numpy calls over ``mpf`` entries.  Every operation runs inside
@@ -114,24 +149,12 @@ class MPKit:
     ``mp.matrix`` and use mpmath's own algorithms."""
 
     name = "extended"
+    dtype = object
 
     def __init__(self, dps: int = 50):
         if dps < 30:
             raise ValueError("extended precision needs at least 30 digits")
         self.dps = dps
-
-    def zeros(self, *shape):
-        return np.full(shape, mp.mpf(0), dtype=object)
-
-    def eye(self, n):
-        out = self.zeros(n, n)
-        np.fill_diagonal(out, mp.mpf(1))
-        return out
-
-    def matrix(self, rows):
-        with mp.workdps(self.dps):
-            return np.array([[mp.mpf(v) for v in row] for row in rows],
-                            dtype=object)
 
     def scalar(self, c):
         with mp.workdps(self.dps):
@@ -142,30 +165,17 @@ class MPKit:
     def context(self):
         return mp.workdps(self.dps)
 
-    def dim(self, a):
-        return a.shape[0]
-
     def add(self, a, b):
-        with mp.workdps(self.dps):
-            return a + b
+        with self.context():
+            return super().add(a, b)
 
     def sub(self, a, b):
-        with mp.workdps(self.dps):
-            return a - b
+        with self.context():
+            return super().sub(a, b)
 
     def scale(self, c, a):
-        # array on the left: mpf * array would first try to convert the
-        # array to an mpf
-        with mp.workdps(self.dps):
-            return a * self.scalar(c)
-
-    def matmul(self, a, b):
-        with mp.workdps(self.dps):
-            return a @ b
-
-    def bracket(self, a, b):
-        with mp.workdps(self.dps):
-            return a @ b - b @ a
+        with self.context():
+            return super().scale(c, a)
 
     def expm(self, a):
         if a.shape == (2, 2) and all(mp.isfinite(v) for v in a.flat):
@@ -216,51 +226,8 @@ class MPKit:
         with mp.workdps(self.dps):
             return mp.mpf(base) ** exponent
 
-    def is_zero(self, a):
-        return not a.any()
-
-    def to_float(self, x):
-        return float(x)
-
     def from_numpy(self, a):
         return self.matrix([[repr(float(v)) for v in row] for row in a])
-
-
-class ArrayStack:
-    """Stack of n x n matrices as one (count, n, n) array of the kit's
-    numbers (float64, or mpf in an object array); the operations of
-    series.ListStack, each as one broadcast numpy call inside the kit's
-    context."""
-
-    def __init__(self, kit, n: int):
-        self.kit = kit
-        self.n = n
-
-    def stack(self, elems, length: int) -> np.ndarray:
-        out = self.kit.zeros(length, self.n, self.n)
-        if len(elems):
-            out[:len(elems)] = elems
-        return out
-
-    def copy(self, s):
-        return s.copy()
-
-    def entry(self, s, i):
-        return s[i].copy()
-
-    def nonzero(self, s):
-        return s
-
-    def ad_into(self, dst, offset: int, c, s, coef):
-        # the sum shares the products' context: entering np.errstate costs
-        # more than the products of a 2x2 row
-        kit = self.kit
-        with kit.context():
-            out = c @ s
-            out -= s @ c
-            out *= kit.scalar(coef)
-            dst[offset:offset + len(out)] += out
-        return out
 
 
 def kit_for(precision: str):
@@ -275,13 +242,13 @@ def kit_for(precision: str):
 class MatrixAlgebra:
     """A kit's n x n matrices as an ad-module (zero/add/sub/scale/bracket)
     for the term recursion and as an associative algebra (unit/mul) for
-    series peeling.  ``stacks`` is the kit's ArrayStack, through which the
-    engine holds its rows and series coefficients."""
+    series peeling.  ``stacks`` is the kit, through which the engine holds
+    its rows."""
 
     def __init__(self, kit, n: int):
         self.kit = kit
         self.n = n
-        self.stacks = ArrayStack(kit, n)
+        self.stacks = kit
 
     def zero(self):
         return self.kit.zeros(self.n, self.n)
@@ -331,18 +298,12 @@ def frechet_pair(kit, alpha):
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if isinstance(kit, MPKit):
-        with mp.workdps(kit.dps):
-            a = kit.scalar(alpha)
-            r6 = 4 * mp.sqrt(6)
-            x = kit.matrix([[0, a], [-1 / a, 0]]) * mp.pi
-            y = kit.matrix([[0, (10 + r6) * a], [(-10 + r6) / a, 0]]) * mp.pi
-            return x, y
-    a = float(alpha)
-    r6 = 4.0 * np.sqrt(6.0)
-    x = np.pi * np.array([[0.0, a], [-1.0 / a, 0.0]])
-    y = np.pi * np.array([[0.0, (10.0 + r6) * a], [(-10.0 + r6) / a, 0.0]])
-    return x, y
+    with kit.context():
+        a = kit.scalar(alpha)
+        pi, r6 = kit.scalar(mp.pi), 4 * kit.scalar(mp.sqrt(6))
+        x = kit.matrix([[0, a], [-1 / a, 0]])
+        y = kit.matrix([[0, (10 + r6) * a], [(-10 + r6) / a, 0]])
+    return kit.scale(pi, x), kit.scale(pi, y)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +396,10 @@ def save_matrix_csv(path, a) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """A square float64 matrix; nan or inf would hang mpmath's expm."""
     a = np.loadtxt(path, delimiter=",", ndmin=2)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix in {path} is not square: {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"matrix in {path} has non-finite entries")
     return a

@@ -9,10 +9,11 @@ extended-precision matrices.
 Coefficients are a Python list, one algebra call per coefficient product
 or sum, whatever the algebra.  The rows of the term recursion in ``engine``
 are held as *stacks*: a module that has a ``stacks`` attribute supplies
-its own (matrices of both precision kits: one (count, n, n) array, see
-``matrices.ArrayStack``); every other one (exact polynomials, free Lie
-combinations, structure constants) gets a ``ListStack``, a Python list
-whose operations are single calls into the module itself.
+its own (matrices of both precision kits: the kit itself, whose stacks are
+(count, n, n) arrays, see ``matrices``); every other one (exact
+polynomials, free Lie combinations, structure constants) gets a
+``ListStack``, a Python list whose operations are single calls into the
+module itself.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class AssocPolyAlgebra:
 
 class ListStack:
     """Stack of elements as a Python list; each operation is one call into
-    the module (zero/add/scale/bracket) it was built from.
+    the module (zero/add/scale/bracket/is_zero) it was built from.
 
     ``nonzero`` marks known-zero entries as None; ``ad_into`` skips None
     entries, so zeros are tested once, on the input.
@@ -68,15 +69,10 @@ class ListStack:
     def copy(self, s) -> list:
         return list(s)
 
-    def entry(self, s, i):
-        return s[i]
-
     def nonzero(self, s) -> list:
         """The stack with its known-zero entries replaced by None."""
-        probe = getattr(self.mod, "is_zero", None)
-        if probe is None:
-            return list(s)
-        return [None if probe(v) else v for v in s]
+        is_zero = self.mod.is_zero
+        return [None if is_zero(v) else v for v in s]
 
     def ad_into(self, dst, offset: int, c, s, coef) -> list:
         """coef * [c, s_i] for every entry, returned and also added into

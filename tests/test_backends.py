@@ -11,8 +11,8 @@ import pytest
 from lie_split.engine import one_sided_terms, standard_terms, symmetric_terms
 from lie_split.experiments import run_fig3
 from lie_split.freelie import FreeLieModule, LieCombo, expand_assoc
-from lie_split.matrices import (ArrayStack, MPKit, MatrixAlgebra, NumpyKit,
-                                frechet_pair, random_matrix)
+from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
+                                random_matrix)
 
 DOUBLE = NumpyKit()
 EXTENDED = MPKit(50)
@@ -61,10 +61,10 @@ def fig3_extended():
 def test_both_kits_get_an_array_stack():
     for kit, dtype in ((DOUBLE, np.float64), (EXTENDED, object)):
         ops = MatrixAlgebra(kit, 3).stacks
-        assert isinstance(ops, ArrayStack)
+        assert ops is kit
         s = ops.stack([kit.eye(3)], 4)
         assert s.shape == (4, 3, 3) and s.dtype == dtype
-    s = MatrixAlgebra(EXTENDED, 3).stacks.stack([], 2)
+    s = MatrixAlgebra(EXTENDED, 3).stacks.stack([EXTENDED.zeros(3, 3)], 2)
     assert all(isinstance(v, mp.mpf) for v in s.flat)
 
 
@@ -96,7 +96,7 @@ def test_extended_stack_operations_keep_their_digits_at_global_precision():
     shift = EXTENDED.matrix([[0, 1], [0, 0]])
     with mp.workdps(15):
         assert mp.mpf(1) + tiny == 1
-        summed = ops.stack([], 1)
+        summed = ops.stack([EXTENDED.zeros(2, 2)], 1)
         bracketed = ops.ad_into(summed, 0, bump, ops.stack([shift], 1), 1)
     assert bracketed[0, 0, 1] == near_one and summed[0, 0, 1] == near_one
 

@@ -179,6 +179,16 @@ def test_eval_matrix_from_csv(tmp_path, capsys):
     assert grid.shape == (4, 4)
 
 
+def test_eval_matrix_rejects_a_non_finite_csv(tmp_path, capsys):
+    xp = tmp_path / "x.csv"
+    yp = tmp_path / "y.csv"
+    xp.write_text("0.1,nan\n0.0,0.2\n")
+    save_matrix_csv(yp, random_matrix(2, 0.3, 2))
+    code, out, err = run(capsys, "eval-matrix", "--x", str(xp), "--y", str(yp))
+    assert code == 1
+    assert "x.csv" in err and "non-finite" in err and not out
+
+
 def test_eval_matrix_needs_inputs(capsys):
     code, _, err = run(capsys, "eval-matrix")
     assert code == 1

@@ -42,18 +42,14 @@ def test_kit_linear_algebra_contract(kit):
 
 
 def as_numpy(kit, a):
-    if isinstance(kit, MPKit):
-        n = kit.dim(a)
-        return np.array([[float(a[i, j]) for j in range(n)] for i in range(n)])
-    return np.asarray(a)
+    return np.array([[kit.to_float(v) for v in row] for row in a])
 
 
 @pytest.mark.parametrize("kit", KITS, ids=lambda k: k.name)
 def test_kit_expm_matches_scipy(kit):
     rng = np.random.default_rng(3)
     m = rng.uniform(-0.5, 0.5, (4, 4))
-    a = kit.from_numpy(m) if isinstance(kit, MPKit) else m
-    e = as_numpy(kit, kit.expm(a))
+    e = as_numpy(kit, kit.expm(kit.from_numpy(m)))
     assert np.linalg.norm(e - scipy_expm(m)) < 1e-12
 
 
@@ -194,6 +190,14 @@ def test_matrix_csv_round_trip_extended(tmp_path):
     save_matrix_csv(path, a)
     back = load_matrix_csv(path)
     assert np.linalg.norm(back - as_numpy(kit, a)) < 1e-15
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_matrix_csv_rejects_non_finite_entries(tmp_path, bad):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1.0,{bad}\n0.0,1.0\n")
+    with pytest.raises(ValueError, match="m.csv.*non-finite"):
+        load_matrix_csv(path)
 
 
 def significant_digits(field):
