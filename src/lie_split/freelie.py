@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Tuple, Union
 
 from .scalars import as_fraction, format_rational
@@ -199,26 +200,33 @@ def combo_from_json(items) -> LieCombo:
     return LieCombo(terms)
 
 
-def _canonical_tree(tree: Tree) -> Tuple[Tree, int]:
-    """Recursively orient every bracket so the smaller subtree (by sort key)
-    sits on the left, tracking the antisymmetry sign."""
+def _canonical_tree(tree: Tree, memo: Dict[Tree, tuple]) -> tuple:
+    """(tree, sign, sort key) with every bracket oriented so the smaller
+    subtree (by sort key) sits on the left, tracking the antisymmetry sign.
+    memo holds the result of every bracket subtree seen so far."""
     if isinstance(tree, str):
-        return tree, 1
-    left, sl = _canonical_tree(tree[0])
-    right, sr = _canonical_tree(tree[1])
+        return tree, 1, tree_sort_key(tree)
+    hit = memo.get(tree)
+    if hit is not None:
+        return hit
+    left, sl, kl = _canonical_tree(tree[0], memo)
+    right, sr, kr = _canonical_tree(tree[1], memo)
     sign = sl * sr
-    if tree_sort_key(left) > tree_sort_key(right):
+    if kl > kr:
         left, right = right, left
         sign = -sign
-    return (left, right), sign
+    canon = (left, right)
+    out = memo[tree] = (canon, sign, tree_sort_key(canon))
+    return out
 
 
 def canonicalize(combo: LieCombo) -> LieCombo:
     """Equivalent combination with every tree in antisymmetry-canonical
     orientation; mirrored orientations merge (and may cancel)."""
     terms: Dict[Tree, Fraction] = {}
+    memo: Dict[Tree, tuple] = {}
     for t, c in combo.terms.items():
-        ct, sign = _canonical_tree(t)
+        ct, sign, _ = _canonical_tree(t, memo)
         s = terms.get(ct, Fraction(0)) + sign * c
         if s:
             terms[ct] = s
@@ -359,19 +367,18 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         cap = self._cap(other)
-        out: Dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        d1, left = _numerators(self.terms)
+        d2, right = _numerators(other.terms)
+        den = d1 * d2
+        out: Dict[Word, int] = {}
+        for w1, n1 in left:
+            for w2, n2 in right:
                 if cap is not None and len(w1) + len(w2) > cap:
                     continue
                 w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                out[w] = out.get(w, 0) + n1 * n2
         res = AssocPoly.__new__(AssocPoly)
-        res.terms = out
+        res.terms = {w: Fraction(n, den) for w, n in out.items() if n}
         res.max_degree = cap
         return res
 
@@ -391,52 +398,56 @@ class AssocPoly:
         return f"<AssocPoly words={len(self.terms)} max_degree={self.max_degree}>"
 
 
-_EXPAND_MEMO: Dict[Tree, Dict[Word, Fraction]] = {}
+def _numerators(terms) -> Tuple[int, list]:
+    """(den, [(key, numerator)]): the lcm of the coefficients' denominators
+    (1 when there are none), and each coefficient times den as an int.
+    The kernels sum these numerators as ints and build one reduced
+    Fraction(numerator, den) per nonzero word at the end."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(k, c.numerator * (den // c.denominator))
+                 for k, c in terms.items()]
+
+
+_EXPAND_MEMO: Dict[Tree, Dict[Word, int]] = {}
 _EXPAND_MEMO_MAX_DEGREE = 10  # bound memo memory; bigger trees expand ad hoc
 
 
-def expand_tree(tree: Tree) -> Dict[Word, Fraction]:
-    """Words of [l, r] -> lr - rl, recursively.  Returns a fresh-safe dict."""
+def expand_tree(tree: Tree) -> Dict[Word, int]:
+    """Words of [l, r] -> lr - rl, recursively, with their integer
+    coefficients (zeros dropped).  For a bracket of degree at most
+    _EXPAND_MEMO_MAX_DEGREE this is the shared memo dict itself: callers
+    must not mutate it."""
     if isinstance(tree, str):
-        return {(tree,): Fraction(1)}
+        return {(tree,): 1}
     cached = _EXPAND_MEMO.get(tree)
     if cached is not None:
         return cached
     left = expand_tree(tree[0])
     right = expand_tree(tree[1])
-    out: Dict[Word, Fraction] = {}
+    acc: Dict[Word, int] = {}
     for wl, cl in left.items():
         for wr, cr in right.items():
             c = cl * cr
             w = wl + wr
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            acc[w] = acc.get(w, 0) + c
             w = wr + wl
-            s = out.get(w, 0) - c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            acc[w] = acc.get(w, 0) - c
+    out = {w: c for w, c in acc.items() if c}
     if tree_degree(tree) <= _EXPAND_MEMO_MAX_DEGREE:
         _EXPAND_MEMO[tree] = out
     return out
 
 
 def expand_assoc(combo: LieCombo) -> AssocPoly:
-    """Associative expansion of a combination; exact, no truncation."""
-    out: Dict[Word, Fraction] = {}
-    for t, c in combo.terms.items():
+    """Associative expansion of a combination; exact, no truncation.
+    Sums integer numerators over the combination's common denominator."""
+    den, numerators = _numerators(combo.terms)
+    out: Dict[Word, int] = {}
+    for t, n in numerators:
         for w, cw in expand_tree(t).items():
-            s = out.get(w, 0) + c * cw
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = out.get(w, 0) + n * cw
     res = AssocPoly.__new__(AssocPoly)
-    res.terms = out
+    res.terms = {w: Fraction(n, den) for w, n in out.items() if n}
     res.max_degree = None
     return res
 

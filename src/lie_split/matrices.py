@@ -16,7 +16,8 @@ peelers; its ``stacks`` is the kit.  Series products (the peeling oracles)
 stay one kit call per coefficient pair.  symmetric_products and
 standard_products build every truncated product of the two splittings.
 MPKit exponentiates a finite 2 x 2 matrix by its closed form (Putzer's
-formula) and any other matrix by mp.expm.
+formula), any other finite matrix by mp.expm, and a matrix with a
+non-finite entry to all nan.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ class MPKit(_ArrayKit):
     ``mp.workdps(dps)``: ``mpf`` arithmetic outside it rounds to 53 bits.
     The exponential of a 2 x 2 matrix with finite entries is the
     Cayley-Hamilton closed form, at guard digits that grow with the
-    entries' size; other exponentials and the norms convert to
-    ``mp.matrix`` and use mpmath's own algorithms."""
+    entries' size; other finite exponentials and the norms convert to
+    ``mp.matrix`` and use mpmath's own algorithms.  The exponential of a
+    matrix with a non-finite entry is all nan."""
 
     name = "extended"
     dtype = object
@@ -178,7 +180,10 @@ class MPKit(_ArrayKit):
             return super().scale(c, a)
 
     def expm(self, a):
-        if a.shape == (2, 2) and all(mp.isfinite(v) for v in a.flat):
+        # mpmath 1.3.0's expm never returns on a nan entry
+        if not all(mp.isfinite(v) for v in a.flat):
+            return np.full(a.shape, mp.nan, dtype=object)
+        if a.shape == (2, 2):
             return self._expm2(a)
         with mp.workdps(self.dps):
             return np.array(mp.expm(mp.matrix(a.tolist())).tolist(),
@@ -396,7 +401,7 @@ def save_matrix_csv(path, a) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """A square float64 matrix; nan or inf would hang mpmath's expm."""
+    """A square float64 matrix with finite entries."""
     a = np.loadtxt(path, delimiter=",", ndmin=2)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix in {path} is not square: {a.shape}")

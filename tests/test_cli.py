@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -57,6 +58,19 @@ def test_expand_emits_words(capsys):
     words = {item["word"]: item["coeff"] for item in payload["3"]}
     assert words["XXY"] == "1/48"
     assert words["YXY"] == "1/12"
+
+
+# sha256 of `expand --max-degree 11 --format json` on stdout, as written
+# by the Fraction-coefficient expansion that the integer kernels replaced
+EXPAND_11_SHA256 = (
+    "f9fb2d6ed035d57897823540392db22531c2e5e51a622373472ff4d93b610c4a")
+
+
+def test_expand_json_is_byte_identical_to_the_golden_output(capsys):
+    code, out, _ = run(capsys, "expand", "--max-degree", "11", "--format",
+                       "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_11_SHA256
 
 
 def test_even_max_degree_is_validation_failure(capsys):

@@ -131,3 +131,130 @@ def test_assoc_poly_mixed_degree_sum_keeps_terms():
     s = x + xy
     assert s.terms[("X",)] == 1
     assert s.terms[("X", "Y")] == Fraction(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Integer-numerator kernels against the Fraction loops they replaced
+
+def fraction_expand_tree(tree):
+    if isinstance(tree, str):
+        return {(tree,): Fraction(1)}
+    left = fraction_expand_tree(tree[0])
+    right = fraction_expand_tree(tree[1])
+    out = {}
+    for wl, cl in left.items():
+        for wr, cr in right.items():
+            c = cl * cr
+            for w, v in ((wl + wr, c), (wr + wl, -c)):
+                s = out.get(w, 0) + v
+                if s:
+                    out[w] = s
+                else:
+                    out.pop(w, None)
+    return out
+
+
+def fraction_expand(combo):
+    out = {}
+    for t, c in combo.terms.items():
+        for w, cw in fraction_expand_tree(t).items():
+            s = out.get(w, 0) + c * cw
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+def fraction_mul(p, q):
+    cap = p._cap(q)
+    out = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            if cap is not None and len(w1) + len(w2) > cap:
+                continue
+            w = w1 + w2
+            s = out.get(w, 0) + c1 * c2
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+def mirror(combo):
+    """Every top bracket [l, r] as [r, l]: expands to the negative."""
+    return LieCombo({(t[1], t[0]): c for t, c in combo.terms.items()})
+
+
+def assert_reduced_fractions(terms):
+    assert all(type(c) is Fraction and c for c in terms.values())
+
+
+# one letter gives many colliding (and cancelling) products of words
+words = st.lists(st.sampled_from("XY"), max_size=4).map(tuple) | st.lists(
+    st.just("X"), max_size=6).map(tuple)
+caps = st.none() | st.integers(0, 6)
+polys = st.builds(AssocPoly, st.dictionaries(words, coeffs, max_size=6),
+                  caps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(combos_of_degree(d), min_size=1, max_size=2)))
+def test_expand_assoc_matches_the_fraction_loop(parts):
+    combo = sum(parts[1:], parts[0])
+    got = expand_assoc(combo)
+    assert got.terms == fraction_expand(combo)
+    assert got.max_degree is None
+    assert_reduced_fractions(got.terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4).flatmap(combos_of_degree))
+def test_expand_assoc_cancels_to_the_zero_polynomial(combo):
+    both = combo + mirror(combo)
+    assert fraction_expand(both) == {}
+    assert expand_assoc(both).terms == {}
+
+
+def test_expand_assoc_of_zero_is_empty():
+    got = expand_assoc(LieCombo.zero())
+    assert got.terms == {} and got.max_degree is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys)
+def test_assoc_mul_matches_the_fraction_loop(p, q):
+    got = p * q
+    assert got.terms == fraction_mul(p, q)
+    assert got.max_degree == p._cap(q)
+    assert_reduced_fractions(got.terms)
+
+
+@pytest.mark.parametrize("p_cap, q_cap", [(None, None), (3, None),
+                                          (None, 2), (4, 1)])
+def test_assoc_mul_with_empty_or_cancelled_products(p_cap, q_cap):
+    p = AssocPoly({("X",): Fraction(1, 3), ("X", "X"): Fraction(-2, 5)},
+                  p_cap)
+    empty = AssocPoly(None, q_cap)
+    for a, b in ((p, empty), (empty, p), (empty, empty)):
+        got = a * b
+        assert got.terms == {} and got.max_degree == a._cap(b)
+    # (1/3 X - 2/5 XX)(5/6 X + XX): the XXX terms cancel
+    q = AssocPoly({("X",): Fraction(5, 6), ("X", "X"): 1}, q_cap)
+    got = p * q
+    assert got.terms == fraction_mul(p, q)
+    assert ("X", "X", "X") not in got.terms
+    # a cap below every product's degree leaves the zero polynomial
+    low = AssocPoly({("X",): Fraction(1, 7)}, 1)
+    assert (p * low).terms == {} and (low * q).terms == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.integers(-6, 6) | coeffs | st.just(Fraction(0)))
+def test_assoc_mul_by_a_scalar_scales(p, c):
+    want = {w: v * c for w, v in p.terms.items()} if c else {}
+    for got in (p * c, c * p):
+        assert got.terms == want
+        assert got.max_degree == p.max_degree

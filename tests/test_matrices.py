@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -310,26 +314,28 @@ def test_extended_expm_closed_form_on_fig3_exponents_at_degree_201(
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
-def test_extended_expm_sends_nonfinite_2x2_to_mp_expm(monkeypatch, bad):
-    a = EXT.matrix([[bad, 1], [0, 0]])
-    seen = []
-
-    def spy(m):
-        seen.append(m)
-        raise ArithmeticError("stopped at mp.expm")
-
-    monkeypatch.setattr(mp, "expm", spy)
-    with pytest.raises(ArithmeticError):
-        EXT.expm(a)
-    monkeypatch.undo()
-    assert len(seen) == 1
-    if bad == "nan":
-        return  # mpmath 1.3.0's expm does not return on a nan entry
-    try:
+def test_extended_expm_of_nonfinite_matrix_is_nan(monkeypatch, bad):
+    # mp.expm patched to fail: mpmath 1.3.0's expm loops on a nan entry
+    monkeypatch.setattr(mp, "expm", no_mp_expm)
+    for rows in ([[bad, 1], [0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, bad]]):
+        a = EXT.matrix(rows)
         got = EXT.expm(a)
-    except ValueError:
-        return
-    assert not all(mp.isfinite(v) for v in got.flat)
+        assert got.shape == a.shape and got.dtype == object
+        assert all(mp.isnan(v) for v in got.flat)
+
+
+def test_extended_psi_symmetric_returns_on_a_nan_entry():
+    # in a child interpreter, so that a hang fails the test, not the suite
+    code = ("import mpmath as mp; "
+            "from lie_split.matrices import MPKit, psi_symmetric; "
+            "kit = MPKit(); x = kit.matrix([['nan', 1], [0, 0]]); "
+            "got = psi_symmetric(kit, x, kit.eye(2), 0.5, 5); "
+            "assert all(mp.isnan(v) for v in got.flat), got")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("n, seed", [(3, 81), (6, 82)])
