@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bounds import converges_many
-from .engine import symmetric_terms
+from .engine import check_max_degree, symmetric_terms
 from .experiments import (DEFAULT_LAM_GRID, fig2_csv_lines, fig3_csv_lines,
                           run_fig2, run_fig3, write_boundary_csv, write_lines,
                           ErrorCurve)
@@ -283,6 +283,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_structconst(args) -> int:
+    check_max_degree(args.max_degree)
     if args.source in BUNDLED:
         algebra = bundled_algebra(args.source)
     else:

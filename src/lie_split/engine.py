@@ -115,6 +115,12 @@ def _advance_row(mod, ops, row, ck, k: int, sign: int, low: int = 0):
     return new
 
 
+def check_max_degree(max_degree: int) -> None:
+    """Reject a max_degree that symmetric_terms cannot take."""
+    if max_degree < 3 or max_degree % 2 == 0:
+        raise ValueError("max_degree must be an odd integer >= 3")
+
+
 def symmetric_terms(mod, x, y, max_degree: int) -> Dict[int, object]:
     """Palindromic splitting exponents C_3, C_5, ..., C_max_degree.
 
@@ -122,8 +128,7 @@ def symmetric_terms(mod, x, y, max_degree: int) -> Dict[int, object]:
     identically and are never materialized.  The two rows are stacks of the
     module's kind (see ``series.stack_ops``).
     """
-    if max_degree < 3 or max_degree % 2 == 0:
-        raise ValueError("max_degree must be an odd integer >= 3")
+    check_max_degree(max_degree)
     top = max_degree - 1
     ops = stack_ops(mod)
     row_l, row_r = _seed_rows(mod, ops, x, y, top)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Optional, Tuple, Union
 
 from .scalars import as_fraction, format_rational
@@ -277,24 +277,27 @@ class FreeLieModule:
 # Associative expansion
 
 class AssocPoly:
-    """Noncommutative polynomial: words (tuples of labels) -> Fraction.
+    """Noncommutative polynomial: words (tuples of labels) with rational
+    coefficients, held as one common denominator and integer numerators.
 
-    max_degree None means no truncation; otherwise words longer than
-    max_degree are dropped by every operation.
+    den is a positive int and nums maps word -> nonzero int, with
+    gcd(den, every numerator) = 1 and den = 1 for the zero polynomial, so
+    equal polynomials have equal fields.  ``terms`` gives the coefficients
+    as reduced Fractions.  max_degree None means no truncation; otherwise
+    words longer than max_degree are dropped by every operation.
     """
 
-    __slots__ = ("terms", "max_degree")
+    __slots__ = ("den", "nums", "max_degree")
 
     def __init__(self, terms: Optional[Dict[Word, Fraction]] = None,
                  max_degree: Optional[int] = None):
+        coeffs = {} if terms is None else {
+            w: as_fraction(c) for w, c in terms.items()
+            if max_degree is None or len(w) <= max_degree
+        }
+        self.den, nums = _numerators(coeffs)
+        self.nums = {w: n for w, n in nums if n}
         self.max_degree = max_degree
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {
-                w: as_fraction(c) for w, c in terms.items()
-                if c != 0 and (max_degree is None or len(w) <= max_degree)
-            }
 
     @classmethod
     def zero(cls, max_degree=None) -> "AssocPoly":
@@ -308,17 +311,24 @@ class AssocPoly:
     def word(cls, labels, coeff=1, max_degree=None) -> "AssocPoly":
         return cls({tuple(labels): as_fraction(coeff)}, max_degree)
 
+    @property
+    def terms(self) -> Dict[Word, Fraction]:
+        """word -> reduced Fraction coefficient, as a new dict."""
+        den = self.den
+        return {w: Fraction(n, den) for w, n in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AssocPoly) and self.terms == other.terms
+        return (isinstance(other, AssocPoly) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def _cap(self, other: "AssocPoly") -> Optional[int]:
         if self.max_degree is None:
@@ -327,34 +337,39 @@ class AssocPoly:
             return self.max_degree
         return min(self.max_degree, other.max_degree)
 
+    def _items_within(self, cap: Optional[int]):
+        """(word, numerator) pairs without the words longer than cap."""
+        if cap is None or self.max_degree == cap:
+            return self.nums.items()
+        return [(w, n) for w, n in self.nums.items() if len(w) <= cap]
+
     def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
+        cap = self._cap(other)
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        out = {w: n * m1 for w, n in self._items_within(cap)}
+        for w, n in other._items_within(cap):
+            s = out.get(w, 0) + n * m2
             if s:
                 out[w] = s
             else:
-                out.pop(w, None)
-        res = AssocPoly.__new__(AssocPoly)
-        res.terms = out
-        res.max_degree = self._cap(other)
-        return res
+                del out[w]
+        return _reduced(out, self.den * m1, cap)
 
     def __neg__(self) -> "AssocPoly":
-        res = AssocPoly.__new__(AssocPoly)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        res.max_degree = self.max_degree
-        return res
+        return _reduced({w: -n for w, n in self.nums.items()}, self.den,
+                        self.max_degree)
 
     def __sub__(self, other: "AssocPoly") -> "AssocPoly":
         return self + (-other)
 
     def scale(self, c) -> "AssocPoly":
         c = as_fraction(c)
-        res = AssocPoly.__new__(AssocPoly)
-        res.max_degree = self.max_degree
-        res.terms = {} if c == 0 else {w: v * c for w, v in self.terms.items()}
-        return res
+        if not c:
+            return AssocPoly.zero(self.max_degree)
+        p = c.numerator
+        return _reduced({w: n * p for w, n in self.nums.items()},
+                        self.den * c.denominator, self.max_degree)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -367,26 +382,22 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         cap = self._cap(other)
-        d1, left = _numerators(self.terms)
-        d2, right = _numerators(other.terms)
-        den = d1 * d2
+        right = list(other.nums.items())
         out: Dict[Word, int] = {}
-        for w1, n1 in left:
+        for w1, n1 in self.nums.items():
             for w2, n2 in right:
                 if cap is not None and len(w1) + len(w2) > cap:
                     continue
                 w = w1 + w2
                 out[w] = out.get(w, 0) + n1 * n2
-        res = AssocPoly.__new__(AssocPoly)
-        res.terms = {w: Fraction(n, den) for w, n in out.items() if n}
-        res.max_degree = cap
-        return res
+        return _reduced({w: n for w, n in out.items() if n},
+                        self.den * other.den, cap)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for w, c in self.sorted_terms():
@@ -395,14 +406,26 @@ class AssocPoly:
         return " + ".join(bits)
 
     def __repr__(self) -> str:
-        return f"<AssocPoly words={len(self.terms)} max_degree={self.max_degree}>"
+        return f"<AssocPoly words={len(self.nums)} max_degree={self.max_degree}>"
+
+
+def _reduced(nums: Dict[Word, int], den: int,
+             max_degree: Optional[int]) -> AssocPoly:
+    """The AssocPoly nums / den (nonzero int numerators, den > 0), with the
+    common factor of den and every numerator divided out."""
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {w: n // g for w, n in nums.items()}
+    res = AssocPoly.__new__(AssocPoly)
+    res.den, res.nums, res.max_degree = den, nums, max_degree
+    return res
 
 
 def _numerators(terms) -> Tuple[int, list]:
     """(den, [(key, numerator)]): the lcm of the coefficients' denominators
     (1 when there are none), and each coefficient times den as an int.
-    The kernels sum these numerators as ints and build one reduced
-    Fraction(numerator, den) per nonzero word at the end."""
+    For reduced Fractions, den and the numerators have no common factor."""
     den = lcm(*(c.denominator for c in terms.values()))
     return den, [(k, c.numerator * (den // c.denominator))
                  for k, c in terms.items()]
@@ -446,12 +469,9 @@ def expand_assoc(combo: LieCombo) -> AssocPoly:
     for t, n in numerators:
         for w, cw in expand_tree(t).items():
             out[w] = out.get(w, 0) + n * cw
-    res = AssocPoly.__new__(AssocPoly)
-    res.terms = {w: Fraction(n, den) for w, n in out.items() if n}
-    res.max_degree = None
-    return res
+    return _reduced({w: n for w, n in out.items() if n}, den, None)
 
 
 def expands_equal(a: LieCombo, b: LieCombo) -> bool:
     """Mathematical equality via associative expansion."""
-    return expand_assoc(a).terms == expand_assoc(b).terms
+    return expand_assoc(a) == expand_assoc(b)

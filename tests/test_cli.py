@@ -150,6 +150,15 @@ def test_structconst_bundled_with_pair(capsys):
     assert "m[3] = 1/48 t" in out
 
 
+@pytest.mark.parametrize("degree", ["2", "8"])
+def test_structconst_rejects_max_degree_before_any_output(capsys, degree):
+    code, out, err = run(capsys, "structconst", "solvable3", "--pair", "X,Y",
+                         "--max-degree", degree)
+    assert code == 1
+    assert out == ""
+    assert "max_degree must be an odd integer >= 3" in err
+
+
 def test_structconst_invalid_file_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.sconst"
     path.write_text("dim 3\nbasis X Y Z\n[X,Y] = 1 * Z\n[X,Z] = 1 * X\n")

@@ -1,4 +1,8 @@
+import cProfile
+import hashlib
+import pstats
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +11,8 @@ from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo, bracket,
                                canonicalize, collected_term_count,
                                combo_from_json, combo_to_json, expand_assoc,
                                expands_equal, tree_degree, tree_str)
+from lie_split.engine import oracle_symmetric_terms
+from lie_split.series import AssocPolyAlgebra
 
 X = LieCombo.generator("X")
 Y = LieCombo.generator("Y")
@@ -191,6 +197,18 @@ def assert_reduced_fractions(terms):
     assert all(type(c) is Fraction and c for c in terms.values())
 
 
+def assert_canonical(poly):
+    """One denominator and integer numerators in lowest terms."""
+    assert type(poly.den) is int and poly.den >= 1
+    assert all(type(n) is int and n for n in poly.nums.values())
+    assert gcd(poly.den, *poly.nums.values()) == 1
+    if not poly.nums:
+        assert poly.den == 1
+    if poly.max_degree is not None:
+        assert all(len(w) <= poly.max_degree for w in poly.nums)
+    assert_reduced_fractions(poly.terms)
+
+
 # one letter gives many colliding (and cancelling) products of words
 words = st.lists(st.sampled_from("XY"), max_size=4).map(tuple) | st.lists(
     st.just("X"), max_size=6).map(tuple)
@@ -207,7 +225,7 @@ def test_expand_assoc_matches_the_fraction_loop(parts):
     got = expand_assoc(combo)
     assert got.terms == fraction_expand(combo)
     assert got.max_degree is None
-    assert_reduced_fractions(got.terms)
+    assert_canonical(got)
 
 
 @settings(max_examples=30, deadline=None)
@@ -229,7 +247,7 @@ def test_assoc_mul_matches_the_fraction_loop(p, q):
     got = p * q
     assert got.terms == fraction_mul(p, q)
     assert got.max_degree == p._cap(q)
-    assert_reduced_fractions(got.terms)
+    assert_canonical(got)
 
 
 @pytest.mark.parametrize("p_cap, q_cap", [(None, None), (3, None),
@@ -258,3 +276,126 @@ def test_assoc_mul_by_a_scalar_scales(p, c):
     for got in (p * c, c * p):
         assert got.terms == want
         assert got.max_degree == p.max_degree
+
+
+# ---------------------------------------------------------------------------
+# Common-denominator storage against Fraction references
+
+def fraction_add(p, q, sign=1):
+    cap = p._cap(q)
+    out = {}
+    for w, c in list(p.terms.items()) + [(w, sign * c)
+                                         for w, c in q.terms.items()]:
+        if cap is not None and len(w) > cap:
+            continue
+        s = out.get(w, 0) + c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys)
+def test_assoc_add_and_sub_match_the_fraction_loop(p, q):
+    for got, want in ((p + q, fraction_add(p, q)),
+                      (p - q, fraction_add(p, q, -1)),
+                      (-p, {w: -c for w, c in p.terms.items()})):
+        assert got.terms == want
+        assert_canonical(got)
+    assert (p + q).max_degree == (p - q).max_degree == p._cap(q)
+    assert (-p).max_degree == p.max_degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(-6, 6) | coeffs)
+def test_assoc_scale_matches_the_fraction_loop(p, c):
+    got = p.scale(c)
+    assert got.terms == ({w: v * c for w, v in p.terms.items()} if c else {})
+    assert got.max_degree == p.max_degree
+    assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(words, coeffs | st.integers(-3, 3), max_size=6), caps)
+def test_assoc_capped_constructor_keeps_short_nonzero_words(terms, cap):
+    got = AssocPoly(terms, cap)
+    assert got.terms == {w: Fraction(c) for w, c in terms.items()
+                         if c and (cap is None or len(w) <= cap)}
+    assert got.max_degree == cap
+    assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys)
+def test_assoc_equality_and_hash_agree_across_constructions(a, b):
+    b = AssocPoly(b.terms, a.max_degree)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    back = (a + b) - b
+    assert back == a and hash(back) == hash(a)
+    rebuilt = AssocPoly(a.terms, a.max_degree)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert (a - a) == AssocPoly.zero() and hash(a - a) == hash(AssocPoly.zero())
+
+
+def test_assoc_equality_ignores_how_a_coefficient_was_reached():
+    x = AssocPoly.word(("X",))
+    half = AssocPoly.word(("X",), Fraction(1, 2))
+    for other in (x.scale(Fraction(2, 4)), x.scale(3).scale(Fraction(1, 6)),
+                  AssocPoly({("X",): "1/2"}), x + x.scale(Fraction(-1, 2))):
+        assert other == half and hash(other) == hash(half)
+        assert (other.den, other.nums) == (2, {("X",): 1})
+    xy = AssocPoly({("X",): 1, ("Y",): Fraction(1, 3)})
+    yx = AssocPoly({("Y",): Fraction(1, 3), ("X",): 1})
+    assert xy == yx and hash(xy) == hash(yx)
+    assert x.scale(0) == AssocPoly.zero() and x.scale(0).den == 1
+    assert half != x and half != half.terms
+
+
+def test_assoc_add_drops_words_beyond_the_smaller_cap():
+    got = AssocPoly.word("XXXX") + AssocPoly.zero(3)
+    assert got.is_zero() and got.terms == {} and got.max_degree == 3
+    mixed = AssocPoly({("X",): 1, ("X", "Y", "Y"): Fraction(1, 4)})
+    got = AssocPoly.word("Y", max_degree=2) + mixed
+    assert got.terms == {("X",): 1, ("Y",): 1} and got.max_degree == 2
+    assert_canonical(got)
+
+
+# ---------------------------------------------------------------------------
+# Series-peeling oracle: pinned output and its Fraction count
+
+ORACLE_PAIRS = ((Fraction(1), Fraction(1, 3)),
+                (Fraction(3, 7), Fraction(-5, 11)))
+# sha256 of the order-12 oracle dump below for both ORACLE_PAIRS, as the
+# Fraction-dict AssocPoly computed it
+ORACLE_12_SHA256 = (
+    "016296fcb0007403f46d214ac336a1e6e2e0a7f73567535707b9bd19a4a7520d")
+
+
+def oracle_12(a, b):
+    return oracle_symmetric_terms(AssocPolyAlgebra(),
+                                  AssocPoly.word(("X",), a),
+                                  AssocPoly.word(("Y",), b), 12)
+
+
+def test_series_oracle_matches_its_golden_dump():
+    lines = []
+    for a, b in ORACLE_PAIRS:
+        terms = oracle_12(a, b)
+        lines += [f"{a} {b} C_{k} {'.'.join(w)} {c}\n" for k in sorted(terms)
+                  for w, c in sorted(terms[k].terms.items())]
+    assert len(lines) == 5420
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+        ORACLE_12_SHA256
+
+
+def test_series_oracle_builds_few_fractions():
+    """The oracle's sums and products stay on ints: the Fraction-dict
+    storage built 420,648 Fractions in this call."""
+    prof = cProfile.Profile()
+    prof.runcall(oracle_12, *ORACLE_PAIRS[1])
+    built = sum(calls for (path, _, name), (_, calls, *_) in
+                pstats.Stats(prof).stats.items()
+                if path.endswith("fractions.py") and name == "__new__")
+    assert 0 < built <= 1000
