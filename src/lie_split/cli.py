@@ -288,6 +288,10 @@ def _cmd_structconst(args) -> int:
         algebra = bundled_algebra(args.source)
     else:
         algebra = load_sconst(args.source, validate=False)
+    labels = [] if args.pair is None else args.pair.split(",")
+    if len(labels) not in (0, 2):
+        raise ValueError("--pair expects two comma-separated basis labels")
+    pair = [algebra.basis_element(label.strip()) for label in labels]
     name = args.source
     print(f"algebra {name}: dim={len(algebra.labels)} "
           f"basis={','.join(algebra.labels)}")
@@ -297,13 +301,9 @@ def _cmd_structconst(args) -> int:
               f"({','.join(violation.labels)}): {violation.detail}")
         return 1
     print("validation: ok")
-    if args.pair is None:
+    if not pair:
         return 0
-    labels = [part.strip() for part in args.pair.split(",")]
-    if len(labels) != 2:
-        raise ValueError("--pair expects two comma-separated basis labels")
-    ex = algebra.basis_element(labels[0])
-    ey = algebra.basis_element(labels[1])
+    ex, ey = pair
     mod = ScModule(algebra)
     table = symmetric_terms(mod, ex, ey, args.max_degree)
     lines = []

@@ -23,12 +23,12 @@ of the next level is a scaled difference of the two rows.  The one-sided
 exponents D_k of exp(hX) exp(hY) exp(h^2 D_2) exp(h^3 D_3) ... come from
 one such row, advanced by the same level step; the series peels below
 recompute both kinds of exponent and serve only as oracles.  Each row is
-one stack (``series.stack_ops``): for matrices of either kit (float64 or
-mpmath) a (top+1, n, n) array, advanced by the kit itself with one
-broadcast bracket per ad power; for the symbolic and structure-constant
-modules a list advanced by one module call per entry.  Every 1/j! is
-folded into the step that builds the j-th power, so intermediates stay the
-size of the terms.
+one stack (``series.stack_ops``): for matrices the kit's own (a
+(top+1, n, n) float64 array, or MPKit's integer mantissas), advanced by
+the kit with one broadcast bracket per ad power; for the symbolic and
+structure-constant modules a list advanced by one module call per entry.
+Every 1/j! is folded into the step that builds the j-th power, so
+intermediates stay the size of the terms.
 """
 
 from __future__ import annotations

@@ -5,19 +5,19 @@ A *kit* bundles the matrix operations the rest of the code needs (arithmetic,
 exponential, norms) for one precision level: NumpyKit wraps float64/scipy,
 MPKit holds mpmath numbers at a configurable number of significant digits
 (>= 30 for the extended mode) in numpy object arrays.  Both kits hold their
-matrices as numpy arrays, so everything but the precision (the scalar type,
-the context the products run in, the exponential and the norms) is written
-once, in their common base.  That includes the stack operations: a kit
-holds a row of the term recursions as one (count, n, n) array, so both
-splittings' rows advance by broadcast matrix products instead of one call
-per entry.  MatrixAlgebra adapts a kit to both the ad-module interface of
-the term recursion and the associative-algebra interface of the series
-peelers; its ``stacks`` is the kit.  Series products (the peeling oracles)
-stay one kit call per coefficient pair.  symmetric_products and
-standard_products build every truncated product of the two splittings.
-MPKit exponentiates a finite 2 x 2 matrix by its closed form (Putzer's
-formula), any other finite matrix by mp.expm, and a matrix with a
-non-finite entry to all nan.
+matrices as numpy arrays, so their arithmetic, products and brackets are
+written once, in a common base.  Each kit also holds the rows of the term
+recursions, one stack per row, so a row advances by broadcast products
+instead of one call per entry: NumpyKit as one (count, n, n) float64
+array, MPKit as a MantissaStack of integer mantissas with one binary
+exponent per entry.  MatrixAlgebra adapts a kit to both the ad-module
+interface of the term recursion and the associative-algebra interface of
+the series peelers; its ``stacks`` is the kit.  Series products (the
+peeling oracles) stay one kit call per coefficient pair.
+symmetric_products and standard_products build every truncated product of
+the two splittings.  MPKit exponentiates a finite 2 x 2 matrix by its
+closed form (Putzer's formula), any other finite matrix by mp.expm, and a
+matrix with a non-finite entry to all nan.
 """
 
 from __future__ import annotations
@@ -32,10 +32,12 @@ import mpmath as mp
 
 from .engine import one_sided_terms, palindromic_products, symmetric_terms
 
+GUARD_BITS = 32
+_BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
+
 
 class _ArrayKit:
-    """What both kits share: matrices as numpy arrays of ``dtype``, and the
-    stack operations of ``series.ListStack`` on (count, n, n) arrays.
+    """What both kits share: matrices as numpy arrays of ``dtype``.
     Products run in the subclass's ``context``; ``scalar`` converts."""
 
     def zeros(self, *shape):
@@ -78,29 +80,6 @@ class _ArrayKit:
     def to_float(self, x):
         return float(x)
 
-    # row stacks: the engine never stacks nothing
-
-    def stack(self, elems, length: int) -> np.ndarray:
-        out = self.zeros(length, *elems[0].shape)
-        out[:len(elems)] = elems
-        return out
-
-    def copy(self, s):
-        return s.copy()
-
-    def nonzero(self, s):
-        return s
-
-    def ad_into(self, dst, offset: int, c, s, coef):
-        # the sum shares the products' context: entering np.errstate costs
-        # more than the products of a 2x2 row
-        with self.context():
-            out = c @ s
-            out -= s @ c
-            out *= self.scalar(coef)
-            dst[offset:offset + len(out)] += out
-        return out
-
 
 class NumpyKit(_ArrayKit):
     """float64 matrices; scipy's scaling-and-squaring exponential."""
@@ -138,17 +117,57 @@ class NumpyKit(_ArrayKit):
     def from_numpy(self, a):
         return np.asarray(a, dtype=float)
 
+    # row stacks, the operations of ``series.ListStack`` on (count, n, n)
+    # arrays; the engine never stacks nothing
+
+    def stack(self, elems, length: int) -> np.ndarray:
+        out = self.zeros(length, *elems[0].shape)
+        out[:len(elems)] = elems
+        return out
+
+    def copy(self, s):
+        return s.copy()
+
+    def nonzero(self, s):
+        return s
+
+    def ad_into(self, dst, offset: int, c, s, coef):
+        # the sum shares the products' context: entering np.errstate costs
+        # more than the products of a 2x2 row
+        with self.context():
+            out = c @ s
+            out -= s @ c
+            out *= self.scalar(coef)
+            dst[offset:offset + len(out)] += out
+        return out
+
 
 class MPKit(_ArrayKit):
     """mpmath numbers at a fixed working precision (significant digits),
-    held in numpy object arrays, so products and sums run as broadcast
-    numpy calls over ``mpf`` entries.  Every operation runs inside
+    held in numpy object arrays of ``mpf``.  Every operation runs inside
     ``mp.workdps(dps)``: ``mpf`` arithmetic outside it rounds to 53 bits.
     The exponential of a 2 x 2 matrix with finite entries is the
     Cayley-Hamilton closed form, at guard digits that grow with the
     entries' size; other finite exponentials and the norms convert to
     ``mp.matrix`` and use mpmath's own algorithms.  The exponential of a
-    matrix with a non-finite entry is all nan."""
+    matrix with a non-finite entry is all nan.
+
+    The rows of the term recursions are ``MantissaStack``s instead: entry i
+    is man[i] * 2**exp[i] (Python ints, so the range stays unlimited), the
+    largest |mantissa| of a nonzero entry exactly ``bits`` = the precision
+    in bits + GUARD_BITS (32) long.  Writes truncate to that grid and every
+    shift back to it floors.  An ad step floors coef c onto a grid finer
+    than c's by the bit length of coef's denominator, forms c s - s c
+    exactly and shifts each entry back; an add shifts the operand of
+    smaller exponent onto the other's grid.  With |a| the largest |element|,
+    a write errs by less than 2**(1 - bits) |a|, an ad step (c written
+    first) by less than 2**(1 - bits) (4n |coef c| |s| + |result|), an add
+    by less than 2**(3 - bits) times the larger |operand|: at 50 digits and
+    n = 2, below 2**-28 units in the last place.  Reads round to nearest
+    at the kit's digits.  A non-finite element flags its entry (mantissas
+    zero); an ad step flags the results of flagged entries, or all results
+    when c is flagged, an add flags its target, and a flagged entry reads
+    as all nan."""
 
     name = "extended"
     dtype = object
@@ -157,6 +176,7 @@ class MPKit(_ArrayKit):
         if dps < 30:
             raise ValueError("extended precision needs at least 30 digits")
         self.dps = dps
+        self.bits = mp.libmp.dps_to_prec(dps) + GUARD_BITS
 
     def scalar(self, c):
         with mp.workdps(self.dps):
@@ -196,7 +216,8 @@ class MPKit(_ArrayKit):
         g = sinh d / d (cos and sin of sqrt(-d^2) when d^2 < 0, and
         c = g = 1 when d^2 = 0).  h^2 + qr cancels when the entries are
         large and d is not, so the guard grows with twice their
-        exponent."""
+        exponent.  An integer-valued m or d goes through _exp, and such a
+        d gives cosh d and sinh d as (E +- 1/E)/2 with E = e^d."""
         peak = max(abs(mp.mpf(v)) for v in a.flat)
         guard = 10
         if peak > 1:
@@ -207,13 +228,17 @@ class MPKit(_ArrayKit):
             d2 = h * h + q * r
             if d2 > 0:
                 d = mp.sqrt(d2)
-                c, g = mp.cosh(d), mp.sinh(d) / d
+                if mp.isint(d):  # so d >= 1, and E - 1/E does not cancel
+                    big = _exp(d)
+                    c, g = (big + 1 / big) / 2, (big - 1 / big) / (2 * d)
+                else:
+                    c, g = mp.cosh(d), mp.sinh(d) / d
             elif d2 < 0:
                 w = mp.sqrt(-d2)
                 c, g = mp.cos(w), mp.sin(w) / w
             else:
                 c = g = mp.mpf(1)
-            e = mp.exp(m)
+            e = _exp(m)
             out = [[e * (c + g * h), e * g * q], [e * g * r, e * (c - g * h)]]
         with mp.workdps(self.dps):
             return np.array([[+v for v in row] for row in out], dtype=object)
@@ -233,6 +258,102 @@ class MPKit(_ArrayKit):
 
     def from_numpy(self, a):
         return self.matrix([[repr(float(v)) for v in row] for row in a])
+
+    # row stacks (see the class docstring); the engine never stacks nothing
+
+    def stack(self, elems, length: int) -> "MantissaStack":
+        n = self.dim(elems[0])
+        out = MantissaStack(self, np.zeros((length, n, n), dtype=object),
+                            np.zeros(length, dtype=object),
+                            np.zeros(length, dtype=bool))
+        for i, a in enumerate(elems):
+            out[i] = a
+        return out
+
+    def copy(self, s):
+        return MantissaStack(self, s.man.copy(), s.exp.copy(), s.bad.copy())
+
+    def nonzero(self, s):
+        return s
+
+    def ad_into(self, dst, offset: int, c, s, coef):
+        coef = Fraction(coef)
+        cman, cexp, cbad = self.to_mantissas(c)
+        more = coef.denominator.bit_length()
+        cman = (cman * coef.numerator << more) // coef.denominator
+        prod = cman @ s.man - s.man @ cman
+        out = self._normalised(prod, s.exp + (cexp - more), s.bad | cbad)
+        part = slice(offset, offset + len(out))
+        man, exp = dst.man[part], dst.exp[part]
+        # a zero entry, of either side, takes the other side's exponent
+        exp = np.where(man.any(axis=(1, 2)), exp, out.exp)
+        oexp = np.where(out.man.any(axis=(1, 2)), out.exp, exp)
+        top = np.maximum(exp, oexp)
+        summed = ((man >> (top - exp)[:, None, None])
+                  + (out.man >> (top - oexp)[:, None, None]))
+        new = self._normalised(summed, top, dst.bad[part] | out.bad)
+        dst.man[part], dst.exp[part], dst.bad[part] = new.man, new.exp, new.bad
+        return out
+
+    def _normalised(self, man, exp, bad) -> "MantissaStack":
+        """man[i] * 2**exp[i] shifted back to ``bits`` per entry."""
+        length = _BIT_LENGTH(man).astype(np.int64).max(axis=(1, 2))
+        shift = np.where(length > 0, length - self.bits, 0)
+        if (shift < 0).any():
+            man = man << np.maximum(-shift, 0)[:, None, None]
+        return MantissaStack(self, man >> np.maximum(shift, 0)[:, None, None],
+                             exp + shift, bad)
+
+    def to_mantissas(self, a):
+        """A matrix as (man, exp, flagged), normalised as a stack entry;
+        a non-finite element gives zero mantissas and the flag."""
+        man = np.zeros(a.shape, dtype=object)
+        with self.context():
+            values = [mp.mpf(v) for v in a.flat]
+            if not all(map(mp.isfinite, values)):
+                return man, 0, True
+            if not any(values):
+                return man, 0, False
+            exp = max(mp.mag(v) for v in values if v) - self.bits
+            man.flat = [int(mp.ldexp(v, -exp)) for v in values]
+        return man, exp, False
+
+    def from_mantissas(self, man, exp, bad):
+        """A stack entry as an mpf matrix at the kit's digits."""
+        with self.context():
+            return np.array([[mp.nan if bad else mp.mpf((m, exp)) for m in row]
+                             for row in man], dtype=object)
+
+
+def _exp(x):
+    """mp.exp(x), with a nonzero integer-valued x as exp(x - 1/2) exp(1/2):
+    above about 600 bits mpmath powers e by it (mpf_pow_int), far slower."""
+    if x and mp.isint(x):
+        return mp.exp(x - 0.5) * mp.exp(0.5)
+    return mp.exp(x)
+
+
+class MantissaStack:
+    """A row stack of MPKit: entry i is man[i] * 2**exp[i], flagged
+    non-finite where bad[i] (see MPKit).  Slices are views; an integer
+    index reads an entry as an mpf matrix, or writes one."""
+
+    __slots__ = ("kit", "man", "exp", "bad")
+
+    def __init__(self, kit, man, exp, bad):
+        self.kit, self.man, self.exp, self.bad = kit, man, exp, bad
+
+    def __len__(self):
+        return len(self.exp)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MantissaStack(self.kit, self.man[i], self.exp[i],
+                                 self.bad[i])
+        return self.kit.from_mantissas(self.man[i], self.exp[i], self.bad[i])
+
+    def __setitem__(self, i, a):
+        self.man[i], self.exp[i], self.bad[i] = self.kit.to_mantissas(a)
 
 
 def kit_for(precision: str):

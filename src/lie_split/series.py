@@ -9,11 +9,10 @@ extended-precision matrices.
 Coefficients are a Python list, one algebra call per coefficient product
 or sum, whatever the algebra.  The rows of the term recursion in ``engine``
 are held as *stacks*: a module that has a ``stacks`` attribute supplies
-its own (matrices of both precision kits: the kit itself, whose stacks are
-(count, n, n) arrays, see ``matrices``); every other one (exact
-polynomials, free Lie combinations, structure constants) gets a
-``ListStack``, a Python list whose operations are single calls into the
-module itself.
+its own (matrices of both precision kits: the kit itself, see
+``matrices``); every other one (exact polynomials, free Lie combinations,
+structure constants) gets a ``ListStack``, a Python list whose operations
+are single calls into the module itself.
 """
 
 from __future__ import annotations

@@ -2,7 +2,12 @@
 form of the same code, in float64 and at 50 digits (MPKit), float64 against
 50 digits, and against the symbolic terms evaluated on matrices."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -11,8 +16,9 @@ import pytest
 from lie_split.engine import one_sided_terms, standard_terms, symmetric_terms
 from lie_split.experiments import run_fig3
 from lie_split.freelie import FreeLieModule, LieCombo, expand_assoc
-from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
-                                random_matrix)
+from lie_split.matrices import (MPKit, MantissaStack, MatrixAlgebra,
+                                NumpyKit, frechet_pair, random_matrix)
+from lie_split.series import ListStack
 
 DOUBLE = NumpyKit()
 EXTENDED = MPKit(50)
@@ -59,13 +65,21 @@ def fig3_extended():
 
 
 def test_both_kits_get_an_array_stack():
-    for kit, dtype in ((DOUBLE, np.float64), (EXTENDED, object)):
-        ops = MatrixAlgebra(kit, 3).stacks
-        assert ops is kit
-        s = ops.stack([kit.eye(3)], 4)
-        assert s.shape == (4, 3, 3) and s.dtype == dtype
-    s = MatrixAlgebra(EXTENDED, 3).stacks.stack([EXTENDED.zeros(3, 3)], 2)
-    assert all(isinstance(v, mp.mpf) for v in s.flat)
+    # double: one (count, n, n) float64 array; extended: integer mantissas
+    # whose entries read back as mpf matrices
+    ops = MatrixAlgebra(DOUBLE, 3).stacks
+    assert ops is DOUBLE
+    s = ops.stack([DOUBLE.eye(3)], 4)
+    assert s.shape == (4, 3, 3) and s.dtype == np.float64
+    ops = MatrixAlgebra(EXTENDED, 3).stacks
+    assert ops is EXTENDED
+    s = ops.stack([EXTENDED.eye(3)], 4)
+    assert isinstance(s, MantissaStack) and len(s) == 4 and len(s[1:]) == 3
+    assert all(type(v) is int for v in s.man.flat)
+    for got, want in ((s[0], EXTENDED.eye(3)), (s[3], EXTENDED.zeros(3, 3))):
+        assert got.shape == (3, 3) and got.dtype == object
+        assert all(isinstance(v, mp.mpf) for v in got.flat)
+        assert got.tolist() == want.tolist()
 
 
 def test_extended_stacks_match_list_stacks():
@@ -98,7 +112,107 @@ def test_extended_stack_operations_keep_their_digits_at_global_precision():
         assert mp.mpf(1) + tiny == 1
         summed = ops.stack([EXTENDED.zeros(2, 2)], 1)
         bracketed = ops.ad_into(summed, 0, bump, ops.stack([shift], 1), 1)
-    assert bracketed[0, 0, 1] == near_one and summed[0, 0, 1] == near_one
+    assert bracketed[0][0, 1] == near_one and summed[0][0, 1] == near_one
+
+
+def spread(count, lo, hi, seed, weights=((1, 1), (1, 1))):
+    """count random 2 x 2 matrices at 50 digits, elementwise times
+    ``weights``, the i-th scaled to 10**(lo + i (hi - lo) / (count - 1))."""
+    rng = np.random.default_rng(seed)
+    step = (hi - lo) / max(count - 1, 1)
+    with mp.workdps(50):
+        w = EXTENDED.matrix(weights)
+        draws = [EXTENDED.from_numpy(rng.uniform(-1, 1, (2, 2)))
+                 for _ in range(count)]
+        return [EXTENDED.scale(mp.mpf(10) ** (lo + i * step), w * a)
+                for i, a in enumerate(draws)]
+
+
+@pytest.mark.parametrize("c, src, dst", [
+    # entries from 1e-200 to 1e200, added onto targets in reverse order
+    (spread(1, 0, 0, 1)[0], spread(21, -200, 200, 2),
+     spread(21, 200, -200, 3)),
+    # every entry's own elements differ by 1e30
+    (spread(1, 0, 0, 4, (("1e30", 1), (1, 1)))[0],
+     spread(9, -5, 5, 5, ((1, "1e30"), (1, 1))),
+     spread(9, 20, 30, 6, (("1e-30", 1), (1, 1)))),
+], ids=["1e-200..1e200", "elements 1e30 apart"])
+def test_extended_stack_steps_match_list_stacks(c, src, dst):
+    # two chained ad steps, as the engine takes them, on MPKit's stack and
+    # on a list stack: every entry within 1e-45 of its norm; every third
+    # source entry is zero, so zero results land on every magnitude
+    src = [EXTENDED.zeros(2, 2) if i % 3 == 0 else v
+           for i, v in enumerate(src)]
+    listed = ListStack(list_backed(2, EXTENDED))
+    runs = []
+    for ops in (EXTENDED, listed):
+        s, d = ops.stack(src, len(src)), ops.stack(dst, len(dst))
+        for coef in (Fraction(-1, 7), 3):
+            s = ops.ad_into(d, 1, c, s[:len(s) - 1], coef)
+        runs.append([d[i] for i in range(len(d))]
+                    + [s[i] for i in range(len(s))])
+    for got, want in zip(*runs):
+        err = EXTENDED.frobenius(EXTENDED.sub(got, want))
+        assert err <= mp.mpf("1e-45") * EXTENDED.frobenius(want)
+
+
+def test_extended_stacks_match_list_stacks_beyond_int64_exponents():
+    with mp.workdps(50):
+        huge = mp.mpf((1, 2 ** 70))
+    x, y = (EXTENDED.scale(huge, v)
+            for v in frechet_pair(EXTENDED, Fraction(1, 5)))
+    stacked, listed = MatrixAlgebra(EXTENDED, 2), list_backed(2, EXTENDED)
+    assert worst_rel_mp(symmetric_terms(listed, y, x, 21),
+                        symmetric_terms(stacked, y, x, 21)) <= 1e-45
+    assert worst_rel_mp(one_sided_terms(listed, x, y, 21),
+                        one_sided_terms(stacked, x, y, 21)) <= 1e-45
+
+
+def test_extended_stack_flags_follow_nonfinite_entries():
+    shift, bad = EXTENDED.matrix([[0, 1], [0, 0]]), EXTENDED.matrix(
+        [["nan", 0], [0, 0]])
+
+    def all_nan(stack):
+        return [all(mp.isnan(v) for v in stack[i].flat)
+                for i in range(len(stack))]
+
+    s = EXTENDED.stack([shift, bad, shift], 3)
+    d = EXTENDED.stack([shift], 4)
+    assert all_nan(s) == [False, True, False]
+    out = EXTENDED.ad_into(d, 1, EXTENDED.matrix([[1, 0], [0, -1]]), s, 1)
+    assert all_nan(out) == [False, True, False]
+    assert all_nan(d) == [False, False, True, False]
+    out = EXTENDED.ad_into(d, 0, bad, s[:1], 1)
+    assert all_nan(out) == [True] and all_nan(d)[0]
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_extended_stacks_match_list_stacks_on_nonfinite_input(bad):
+    # in a child interpreter, so that a hang fails the test, not the suite
+    code = textwrap.dedent(f"""
+        import mpmath as mp
+        from lie_split.engine import one_sided_terms, symmetric_terms
+        from lie_split.matrices import MPKit, MatrixAlgebra
+        kit = MPKit()
+        listed = MatrixAlgebra(kit, 2)
+        listed.stacks = None
+        good = kit.matrix([[0, 1], [1, 2]])
+        bad = kit.matrix([["{bad}", 1], [0, 0]])
+        for x, y in ((bad, good), (good, bad)):
+            for terms in (symmetric_terms, one_sided_terms):
+                got = terms(MatrixAlgebra(kit, 2), x, y, 9)
+                want = terms(listed, x, y, 9)
+                assert sorted(got) == sorted(want)
+                for k in want:
+                    finite = all(mp.isfinite(v) for v in want[k].flat)
+                    assert finite == all(mp.isfinite(v) for v in got[k].flat)
+                    assert finite or all(mp.isnan(v) for v in got[k].flat)
+        """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
 
 
 def test_extended_fig3_values_pinned_to_25_digits():

@@ -159,6 +159,17 @@ def test_structconst_rejects_max_degree_before_any_output(capsys, degree):
     assert "max_degree must be an odd integer >= 3" in err
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("X,Q", "unknown basis label 'Q'"),
+    ("X", "--pair expects two comma-separated basis labels"),
+])
+def test_structconst_rejects_pair_before_any_output(capsys, pair, message):
+    code, out, err = run(capsys, "structconst", "solvable3", "--pair", pair)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_structconst_invalid_file_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.sconst"
     path.write_text("dim 3\nbasis X Y Z\n[X,Y] = 1 * Z\n[X,Z] = 1 * X\n")

@@ -1,5 +1,7 @@
+import cProfile
 import math
 import os
+import pstats
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,10 +15,10 @@ from scipy.linalg import expm as scipy_expm
 from lie_split.cli import main
 from lie_split.engine import symmetric_terms
 from lie_split.experiments import run_fig3
-from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, frechet_pair,
-                                kit_for, load_matrix_csv, psi_standard, psi_symmetric,
-                                random_matrix, save_matrix_csv,
-                                splitting_error)
+from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, _exp,
+                                frechet_pair, kit_for, load_matrix_csv,
+                                psi_standard, psi_symmetric, random_matrix,
+                                save_matrix_csv, splitting_error)
 
 KITS = [NumpyKit(), MPKit()]
 
@@ -311,6 +313,47 @@ def test_extended_expm_closed_form_on_fig3_exponents_at_degree_201(
             a = seen[3 + (k - 3) // 2]
             assert max(abs(v) for v in a.flat) > mp.mpf("1e70")
             assert_matches_mp_expm(a, EXT.expm(a))
+
+
+def test_extended_expm_of_integer_valued_arguments_matches_mpmath():
+    # above about 600 bits mpmath powers e by an integer-valued argument;
+    # the routed exp, cosh and sinh must still be mpmath's values
+    with mp.workdps(250):
+        for x in (mp.floor(mp.mpf("1.2e90")), mp.mpf(10) ** 70 + 1,
+                  mp.mpf(2) ** 700, mp.mpf(7), mp.mpf(1)):
+            for v in (x, -x):
+                assert abs(_exp(v) - mp.exp(v)) <= 2 * mp.eps * mp.exp(v)
+        assert _exp(mp.mpf(0)) == 1
+    for x in ("1e90", "1e70", "7", "1"):
+        with mp.workdps(50):
+            d = mp.floor(mp.mpf(x))
+        hyperbolic = EXT.expm(EXT.matrix([[0, d], [d, 0]]))
+        scalar = EXT.expm(EXT.matrix([[d, 0], [0, d]]))
+        with mp.workdps(60):
+            cosh, sinh, exp = mp.cosh(d), mp.sinh(d), mp.exp(d)
+        with mp.workdps(50):
+            assert scalar[0, 1] == scalar[1, 0] == 0
+            for got, want in ((hyperbolic[0, 0], cosh),
+                              (hyperbolic[1, 1], cosh),
+                              (hyperbolic[0, 1], sinh),
+                              (hyperbolic[1, 0], sinh),
+                              (scalar[0, 0], exp), (scalar[1, 1], exp)):
+                assert abs(got - want) <= mp.mpf("1e-45") * want, (x, got)
+
+
+def test_extended_expm_of_integer_valued_m_and_d_skips_integer_powering():
+    with mp.workdps(50):
+        p, s = mp.floor(mp.mpf("3e90")), mp.floor(mp.mpf("1e90"))
+    a = EXT.matrix([[p, 0], [0, s]])  # m = 2e90, d = 1e90
+    profile = cProfile.Profile()
+    got = profile.runcall(EXT.expm, a)
+    calls = pstats.Stats(profile).stats
+    assert not [f for f in calls if f[2] == "mpf_pow_int"]
+    with mp.workdps(60):
+        want = mp.exp(p)  # e**s is far below the closed form's resolution
+    with mp.workdps(50):
+        assert got[0, 1] == got[1, 0] == 0 and 0 <= got[1, 1] <= got[0, 0]
+        assert abs(got[0, 0] - want) <= mp.mpf("1e-45") * want
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
