@@ -16,8 +16,9 @@ the series peelers; its ``stacks`` is the kit.  Series products (the
 peeling oracles) stay one kit call per coefficient pair.
 symmetric_products and standard_products build every truncated product of
 the two splittings.  MPKit exponentiates a finite 2 x 2 matrix by its
-closed form (Putzer's formula), any other finite matrix by mp.expm, and a
-matrix with a non-finite entry to all nan.
+closed form (Putzer's formula), any other finite matrix by scaling and
+squaring on integer mantissas, and a matrix with a non-finite entry to all
+nan.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import mpmath as mp
 from .engine import one_sided_terms, palindromic_products, symmetric_terms
 
 GUARD_BITS = 32
+EXPM_SCALE_BITS = 14
 _BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
 
 
@@ -148,9 +150,9 @@ class MPKit(_ArrayKit):
     ``mp.workdps(dps)``: ``mpf`` arithmetic outside it rounds to 53 bits.
     The exponential of a 2 x 2 matrix with finite entries is the
     Cayley-Hamilton closed form, at guard digits that grow with the
-    entries' size; other finite exponentials and the norms convert to
-    ``mp.matrix`` and use mpmath's own algorithms.  The exponential of a
-    matrix with a non-finite entry is all nan.
+    entries' size; the norms convert to ``mp.matrix`` and use mpmath's own
+    algorithms.  The exponential of a matrix with a non-finite entry is
+    all nan.
 
     The rows of the term recursions are ``MantissaStack``s instead: entry i
     is man[i] * 2**exp[i] (Python ints, so the range stays unlimited), the
@@ -167,7 +169,24 @@ class MPKit(_ArrayKit):
     at the kit's digits.  A non-finite element flags its entry (mantissas
     zero); an ad step flags the results of flagged entries, or all results
     when c is flagged, an add flags its target, and a flagged entry reads
-    as all nan."""
+    as all nan.
+
+    Any other finite exponential runs on the same kind of integers
+    (``_expm_fixed``, scaling and squaring): A is written as a stack
+    entry, B = A / 2**s with s chosen so that |B|_inf <= 2**-14, and
+    the Taylor series of e^B is summed in fixed point with f = bits + s + 8
+    fraction bits until every element of a term is at most one unit
+    2**-f.  Each of the K terms (about f / 14) floors once and the tail
+    left is below one unit, so the sum errs by less than (K + 2) 2**-f.
+    Each of the s squarings shifts back to f + 1 bits under one shared
+    exponent, erring by n units of its largest element in the infinity
+    norm, and doubles the relative error it receives times |P|**2 / |P**2|
+    for its input P.  So e^A errs, relative to |e^A|, by less than about
+    (K + n (s + 2)) 2**-(bits + 8) times G = |e^B|**(2**s) / |e^A|,
+    besides the write of A carried through the conditioning of e^A.  G is
+    1 in the 2-norm for a normal A; a far from normal A loses log2 G bits,
+    as in any scaling and squaring.  The result reads as a stack entry
+    does, rounded to nearest at the kit's digits."""
 
     name = "extended"
     dtype = object
@@ -205,9 +224,36 @@ class MPKit(_ArrayKit):
             return np.full(a.shape, mp.nan, dtype=object)
         if a.shape == (2, 2):
             return self._expm2(a)
-        with mp.workdps(self.dps):
-            return np.array(mp.expm(mp.matrix(a.tolist())).tolist(),
-                            dtype=object)
+        return self._expm_fixed(a)
+
+    def _expm_fixed(self, a):
+        """e^A of a finite matrix by scaling and squaring on integer
+        mantissas (Moler and Van Loan 2003; Higham 2005; error bound in
+        the class docstring).  The squarings shift back to f + 1 bits, so
+        the integers stay that wide however large e^A grows, and the
+        series stops once every |term| <= 1 unit, since floor shifts leave
+        -1 terms behind for ever."""
+        man, exp, _ = self.to_mantissas(a)
+        # |A|_inf = rows 2**exp < 2**(rows.bit_length() + exp)
+        rows = np.abs(man).sum(axis=1).max()
+        s = max(0, rows.bit_length() + exp + EXPM_SCALE_BITS)
+        f = self.bits + s + 8
+        shift = exp + f - s
+        x = man << shift if shift >= 0 else man >> -shift
+        term = np.zeros(a.shape, dtype=object)
+        np.fill_diagonal(term, 1 << f)
+        total, k = term.copy(), 0
+        while _BIT_LENGTH(term).max() > 1:
+            k += 1
+            term = (term @ x) // (k << f)
+            total += term
+        exp = -f
+        for _ in range(s):
+            total = total @ total
+            drop = _BIT_LENGTH(total).max() - (f + 1)
+            total = total >> drop if drop >= 0 else total << -drop
+            exp = 2 * exp + drop
+        return self.from_mantissas(total, exp, False)
 
     def _expm2(self, a):
         """Closed form of a finite 2 x 2 exponential (Putzer 1966;
@@ -217,7 +263,9 @@ class MPKit(_ArrayKit):
         c = g = 1 when d^2 = 0).  h^2 + qr cancels when the entries are
         large and d is not, so the guard grows with twice their
         exponent.  An integer-valued m or d goes through _exp, and such a
-        d gives cosh d and sinh d as (E +- 1/E)/2 with E = e^d."""
+        d gives cosh d and sinh d as (E +- 1/E)/2 with E = e^d.  For d > 1
+        the entry c - g|h| (e^-d when qr = 0) has a form of its own, below;
+        for d < 1 that form's two terms, of size |h| / d, would cancel."""
         peak = max(abs(mp.mpf(v)) for v in a.flat)
         guard = 10
         if peak > 1:
@@ -238,8 +286,16 @@ class MPKit(_ArrayKit):
                 c, g = mp.cos(w), mp.sin(w) / w
             else:
                 c = g = mp.mpf(1)
+            plus, minus = c + g * h, c - g * h
+            if d2 > 1 and h:
+                # c - g|h| cancels to nothing once e^-d drops below the
+                # precision; with d - |h| = qr / (d + |h|) it is the sum
+                # e^-d (d + |h|) / (2d) + e^d qr / (2d (d + |h|))
+                big, k = _exp(d), d + abs(h)
+                small = (k / big + big * q * r / k) / (2 * d)
+                plus, minus = (plus, small) if h > 0 else (small, minus)
             e = _exp(m)
-            out = [[e * (c + g * h), e * g * q], [e * g * r, e * (c - g * h)]]
+            out = [[e * plus, e * g * q], [e * g * r, e * minus]]
         with mp.workdps(self.dps):
             return np.array([[+v for v in row] for row in out], dtype=object)
 

@@ -73,6 +73,29 @@ def test_expand_json_is_byte_identical_to_the_golden_output(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_11_SHA256
 
 
+# sha256 of extended --out CSVs as written while MPKit exponentiated every
+# matrix beyond 2 x 2 with mp.expm: an 8 x 8 one-sided product and a 4 x 4
+# fig2 curve, both through that path at every degree
+EXTENDED_OUT_SHA256 = [
+    (["eval-matrix", "--random", "8", "--target", "2.0", "--max-degree",
+      "15", "--variant", "standard", "--seed", "5"],
+     "d14a8eee3e7920cff60f5a298d862a455a5bdd6eded3dd84cde1500e7c6372ea"),
+    (["fig2", "--dimension", "4", "--n-max", "11", "--seed", "3"],
+     "b90cc286f7fc7c4fa19804a75146a5a8d2ae2965640788b3a7101d0df45c0321"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", EXTENDED_OUT_SHA256,
+                         ids=["eval-matrix", "fig2"])
+def test_extended_outputs_are_byte_identical_to_the_golden_output(
+        tmp_path, capsys, argv, digest):
+    out = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, "--precision", "extended", "--out",
+                     str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_even_max_degree_is_validation_failure(capsys):
     code, _, err = run(capsys, "terms", "--max-degree", "6")
     assert code == 1

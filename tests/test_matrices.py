@@ -247,7 +247,8 @@ def test_matrix_module_and_series_algebra_contracts():
 
 
 # ---------------------------------------------------------------------------
-# MPKit.expm: closed form for finite 2 x 2 input, mp.expm for the rest
+# MPKit.expm: closed form for finite 2 x 2 input, scaling and squaring on
+# integer mantissas for any other finite input; mp.expm is the reference
 
 EXT = MPKit(50)
 
@@ -286,6 +287,9 @@ def assert_matches_mp_expm(a, got):
     [[0, 1], ["1e-60", 0]],            # d^2 = 1e-60
     [[1, 1], ["-1e-60", 1]],           # d^2 = -1e-60
     [["1e30", "-1e30"], ["1e30", "-1e30"]],   # d^2 = 0, huge entries
+    [[1, 1], ["-0." + "9" * 39 + "9", -1]],   # d = 1e-20 << h, qr < 0
+    [[40, 3], [-2, -1]],               # d > 1, h > 0, qr < 0
+    [[-1, 3], [2, 40]],                # d > 1, h < 0, qr > 0
 ], ids=lambda rows: str(rows))
 def test_extended_expm_closed_form_matches_mp_expm(monkeypatch, rows):
     a = EXT.matrix(rows)
@@ -350,10 +354,11 @@ def test_extended_expm_of_integer_valued_m_and_d_skips_integer_powering():
     calls = pstats.Stats(profile).stats
     assert not [f for f in calls if f[2] == "mpf_pow_int"]
     with mp.workdps(60):
-        want = mp.exp(p)  # e**s is far below the closed form's resolution
+        want = mp.exp(p), mp.exp(s)
     with mp.workdps(50):
-        assert got[0, 1] == got[1, 0] == 0 and 0 <= got[1, 1] <= got[0, 0]
-        assert abs(got[0, 0] - want) <= mp.mpf("1e-45") * want
+        assert got[0, 1] == got[1, 0] == 0
+        for got_v, want_v in zip((got[0, 0], got[1, 1]), want):
+            assert abs(got_v - want_v) <= mp.mpf("1e-45") * want_v
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
@@ -378,6 +383,56 @@ def test_extended_psi_symmetric_returns_on_a_nan_entry():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("norm", [1e-40, 1e-8, 1.0, 300.0])
+@pytest.mark.parametrize("n", [1, 3, 4, 6, 10])
+def test_extended_expm_beyond_2x2_matches_mp_expm(monkeypatch, n, norm):
+    a = EXT.from_numpy(random_matrix(n, norm, 90 + n))
+    monkeypatch.setattr(mp, "expm", no_mp_expm)
+    got = EXT.expm(a)
+    monkeypatch.undo()
+    assert_matches_mp_expm(a, got)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0] * 3] * 3,
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+], ids=["zero", "nilpotent"])
+def test_extended_expm_beyond_2x2_on_zero_and_nilpotent(monkeypatch, rows):
+    a = EXT.matrix(rows)
+    monkeypatch.setattr(mp, "expm", no_mp_expm)
+    got = EXT.expm(a)
+    monkeypatch.undo()
+    assert_matches_mp_expm(a, got)
+
+
+HUGE_3X3 = [["1e30", "-2e30", "3e29"], ["5e29", "1e30", "-1e30"],
+            ["2e30", "1e29", "-7e29"]]
+
+
+def test_extended_expm_of_large_norms_returns_promptly():
+    # e^A is about 2**(1.4e8) at norm 1e8 and beyond 2**(1e30) for HUGE_3X3:
+    # unless each squaring shifts its integers back, they grow that wide;
+    # in a child interpreter, so that a stall fails the test, not the suite
+    code = (
+        "import mpmath as mp\n"
+        "from lie_split.matrices import random_matrix\n"
+        "from test_matrices import (EXT, HUGE_3X3, assert_matches_mp_expm,\n"
+        "                           no_mp_expm)\n"
+        "cases = [EXT.matrix(HUGE_3X3)] + [\n"
+        "    EXT.from_numpy(random_matrix(6, v, 83)) for v in (1e4, 1e8)]\n"
+        "for a in cases:\n"
+        "    expm, mp.expm = mp.expm, no_mp_expm\n"
+        "    got = EXT.expm(a)\n"
+        "    mp.expm = expm\n"
+        "    assert_matches_mp_expm(a, got)\n")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
 
 
