@@ -247,22 +247,27 @@ def standard_terms_left(algebra, x, y, order: int) -> Dict[int, object]:
     return terms
 
 
-def palindromic_products(mul, outer, inner, factors):
+def palindromic_products(mul, outer, inner, degrees, factor, finite=None):
     """Truncated palindromic products outer inner F_3 ... F_k F_k ... F_3
     inner outer, generic over the product ``mul``.
 
-    Yields (1, outer inner, inner outer), then (k, left, right) for each
-    (k, F_k) of ``factors`` in the order given (ascending k), where left is
+    Yields (1, outer inner, inner outer), then (k, left, right) for each k
+    of ``degrees`` (ascending) with F_k = factor(k), where left is
     outer inner F_3 ... F_k and right its mirror image.  The truncated
     product is mul(left, right); readers join the halves only at the
-    degrees they use.
+    degrees they use.  With ``finite``, once a half fails it the later
+    steps form no factor and yield the halves unchanged: a non-finite
+    matrix stays non-finite under products, so every later product is
+    non-finite either way.
     """
     left = mul(outer, inner)
     right = mul(inner, outer)
     yield 1, left, right
-    for k, factor in factors:
-        left = mul(left, factor)
-        right = mul(factor, right)
+    for k in degrees:
+        if finite is None or (finite(left) and finite(right)):
+            f = factor(k)
+            left = mul(left, f)
+            right = mul(f, right)
         yield k, left, right
 
 
@@ -273,10 +278,10 @@ def palindromic_product_series(algebra, x, y, terms: Dict[int, object],
     exp(lambda x/2), truncated at the given order."""
     alg = algebra
     half = Fraction(1, 2)
-    factors = ((k, exp_factor(alg, terms[k], k, order))
-               for k in sorted(terms) if k <= order)
     for _, left, right in palindromic_products(
             operator.mul, exp_factor(alg, alg.scale(half, x), 1, order),
-            exp_factor(alg, alg.scale(half, y), 1, order), factors):
+            exp_factor(alg, alg.scale(half, y), 1, order),
+            [k for k in sorted(terms) if k <= order],
+            lambda k: exp_factor(alg, terms[k], k, order)):
         pass
     return left * right

@@ -15,7 +15,8 @@ interface of the term recursion and the associative-algebra interface of
 the series peelers; its ``stacks`` is the kit.  Series products (the
 peeling oracles) stay one kit call per coefficient pair.
 symmetric_products and standard_products build every truncated product of
-the two splittings.  MPKit exponentiates a finite 2 x 2 matrix by its
+the two splittings; once a product overflows (the kit's ``finite``), later
+factors are not exponentiated, since every later product is non-finite.  MPKit exponentiates a finite 2 x 2 matrix by its
 closed form (Putzer's formula), any other finite matrix by scaling and
 squaring on integer mantissas, and a matrix with a non-finite entry to all
 nan.
@@ -94,6 +95,9 @@ class NumpyKit(_ArrayKit):
 
     def context(self):  # float overflow shows as inf/nan, not as warnings
         return np.errstate(all="ignore")
+
+    def finite(self, a):
+        return np.isfinite(a).all()
 
     def expm(self, a):
         with self.context():
@@ -218,9 +222,13 @@ class MPKit(_ArrayKit):
         with self.context():
             return super().scale(c, a)
 
+    def finite(self, a):
+        # np.isfinite raises TypeError on mpf object arrays
+        return all(map(mp.isfinite, a.flat))
+
     def expm(self, a):
         # mpmath 1.3.0's expm never returns on a nan entry
-        if not all(mp.isfinite(v) for v in a.flat):
+        if not self.finite(a):
             return np.full(a.shape, mp.nan, dtype=object)
         if a.shape == (2, 2):
             return self._expm2(a)
@@ -491,27 +499,35 @@ def frechet_pair(kit, alpha):
 # ---------------------------------------------------------------------------
 # Splitting products
 
-def symmetric_products(kit, a, b, terms: Dict[int, object]):
+def symmetric_products(kit, a, b, terms: Dict[int, object],
+                       skip_overflowed: bool = True):
     """Truncated palindromic products of the scaled pair (a, b) and its
     exponents ``terms`` ({k: C_k} at the same scale), as halves: yields
     (1, e^{a/2} e^{b/2}, e^{b/2} e^{a/2}), then (k, left, right) through
     exp(C_k) for every k in ascending order; the product is
-    kit.matmul(left, right)."""
+    kit.matmul(left, right).  With ``skip_overflowed``, once a half is
+    non-finite the later halves are yielded unchanged and their factors
+    never exponentiated: every later product is non-finite either way, so
+    its norm is inf, but not the same matrix."""
     half = Fraction(1, 2)
     return palindromic_products(
         kit.matmul, kit.expm(kit.scale(half, a)), kit.expm(kit.scale(half, b)),
-        ((k, kit.expm(terms[k])) for k in sorted(terms)))
+        sorted(terms), lambda k: kit.expm(terms[k]),
+        kit.finite if skip_overflowed else None)
 
 
-def standard_products(kit, a, b, terms: Dict[int, object]):
+def standard_products(kit, a, b, terms: Dict[int, object],
+                      skip_overflowed: bool = True):
     """Truncated one-sided products e^a e^b exp(D_2) ... exp(D_k) of the
     scaled pair (a, b) and its exponents ``terms`` ({k: D_k} at the same
     scale): yields (1, e^a e^b), then (k, product through exp(D_k)) for
-    every k in ascending order."""
+    every k in ascending order.  ``skip_overflowed`` as for
+    symmetric_products."""
     prod = kit.matmul(kit.expm(a), kit.expm(b))
     yield 1, prod
     for k in sorted(terms):
-        prod = kit.matmul(prod, kit.expm(terms[k]))
+        if not skip_overflowed or kit.finite(prod):
+            prod = kit.matmul(prod, kit.expm(terms[k]))
         yield k, prod
 
 
@@ -534,7 +550,8 @@ def psi_symmetric(kit, x, y, lam, n: int):
     terms = {}
     if m >= 3:
         terms = symmetric_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, m)
-    for _, left, right in symmetric_products(kit, a, b, terms):
+    for _, left, right in symmetric_products(kit, a, b, terms,
+                                             skip_overflowed=False):
         pass
     return kit.matmul(left, right)
 
@@ -546,7 +563,8 @@ def psi_standard(kit, x, y, lam, n: int):
         raise ValueError("n must be at least 2")
     a, b = _scaled_pair(kit, x, y, lam)
     terms = one_sided_terms(MatrixAlgebra(kit, kit.dim(a)), a, b, n)
-    for _, prod in standard_products(kit, a, b, terms):
+    for _, prod in standard_products(kit, a, b, terms,
+                                     skip_overflowed=False):
         pass
     return prod
 

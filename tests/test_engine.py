@@ -226,7 +226,8 @@ def test_palindromic_products_match_the_written_palindrome():
     a, b, f3, f5 = (rng.integers(-2, 3, (3, 3)) for _ in range(4))
     assert (a @ b != b @ a).any() and (f3 @ f5 != f5 @ f3).any()
     got = {k: left @ right for k, left, right in
-           palindromic_products(np.matmul, a, b, [(3, f3), (5, f5)])}
+           palindromic_products(np.matmul, a, b, [3, 5],
+                                               {3: f3, 5: f5}.get)}
     written = {1: [a, b, b, a], 3: [a, b, f3, f3, b, a],
                5: [a, b, f3, f5, f5, f3, b, a]}
     assert sorted(got) == [1, 3, 5]

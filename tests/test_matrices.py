@@ -13,12 +13,13 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from lie_split.cli import main
-from lie_split.engine import symmetric_terms
+from lie_split.engine import one_sided_terms, symmetric_terms
 from lie_split.experiments import run_fig3
 from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, _exp,
                                 frechet_pair, kit_for, load_matrix_csv,
                                 psi_standard, psi_symmetric, random_matrix,
-                                save_matrix_csv, splitting_error)
+                                save_matrix_csv, splitting_error,
+                                standard_products, symmetric_products)
 
 KITS = [NumpyKit(), MPKit()]
 
@@ -72,6 +73,17 @@ def test_kit_norms(kit):
     a = kit.matrix([[3.0, 0.0], [0.0, 4.0]])
     assert abs(float(kit.norm2(a)) - 4.0) < 1e-12
     assert abs(float(kit.frobenius(a)) - 5.0) < 1e-12
+
+
+@pytest.mark.parametrize("kit", KITS, ids=lambda k: k.name)
+def test_kit_finite(kit):
+    assert kit.finite(kit.matrix([[1.0, 2.0], [3.0, 4.0]]))
+    for bad in ("inf", "-inf", "nan"):
+        assert not kit.finite(kit.matrix([[1.0, bad], [0.0, 1.0]]))
+
+
+def test_extended_finite_takes_mpf_beyond_the_float_range():
+    assert MPKit().finite(MPKit().matrix([["1e400", 0], [0, "-1e-400"]]))
 
 
 def test_norm2_of_overflowed_matrix_is_inf():
@@ -179,6 +191,72 @@ def test_splitting_error_norm_choices():
     assert spec <= fro + 1e-18
     with pytest.raises(ValueError):
         splitting_error(kit, x, y, 1.0, approx, norm="nuclear")
+
+
+# ---------------------------------------------------------------------------
+# Products of an overflowed half skip their later exponentials
+
+def counted_expm(monkeypatch, kit_class):
+    calls = []
+    expm = kit_class.expm
+    monkeypatch.setattr(kit_class, "expm",
+                        lambda kit, a: calls.append(a) or expm(kit, a))
+    return calls
+
+
+def test_default_double_fig3_skips_factors_of_overflowed_products(
+        monkeypatch, tmp_path, capsys):
+    calls = counted_expm(monkeypatch, NumpyKit)
+    assert main(["fig3", "--out", str(tmp_path / "fig3.csv")]) == 0
+    capsys.readouterr()
+    # without the skip: 21 lambdas x (1 + 2 + 100 + 2 + 200) = 6,405
+    assert len(calls) == 934
+
+
+def overflowing_fig3_terms():
+    """The fig3 pair at lambda = 1 with its exponents through degree 201:
+    both products overflow well before degree 201."""
+    kit = NumpyKit()
+    x, y = frechet_pair(kit, Fraction(1, 5))
+    mod = MatrixAlgebra(kit, 2)
+    return (kit, x, y, symmetric_terms(mod, y, x, 201),
+            one_sided_terms(mod, x, y, 201))
+
+
+def test_skipped_products_stay_nonfinite_with_the_same_norms():
+    kit, x, y, sym, std = overflowing_fig3_terms()
+    runs = {skip: ([(k, kit.matmul(left, right)) for k, left, right
+                    in symmetric_products(kit, y, x, sym,
+                                          skip_overflowed=skip)],
+                   list(standard_products(kit, x, y, std,
+                                          skip_overflowed=skip)))
+            for skip in (True, False)}
+    for skipped, full in zip(runs[True], runs[False]):
+        assert [k for k, _ in skipped] == [k for k, _ in full]
+        first = next(i for i, (_, p) in enumerate(full) if not kit.finite(p))
+        assert first < len(full) - 50
+        for i, ((_, p), (_, q)) in enumerate(zip(skipped, full)):
+            if i < first:
+                assert np.array_equal(p, q)
+            else:
+                assert not kit.finite(p) and not kit.finite(q)
+                assert kit.frobenius(p) == kit.norm2(p) == math.inf
+        # the skip changes the matrix, so psi_* must not take it
+        assert not np.array_equal(skipped[-1][1], full[-1][1], equal_nan=True)
+
+
+def test_psi_returns_the_whole_product_of_a_diverging_pair():
+    kit, x, y, sym, std = overflowing_fig3_terms()
+    for _, left, right in symmetric_products(kit, y, x, sym,
+                                             skip_overflowed=False):
+        pass
+    assert np.array_equal(psi_symmetric(kit, y, x, 1.0, 201),
+                          kit.matmul(left, right), equal_nan=True)
+    prod = kit.matmul(kit.expm(x), kit.expm(y))
+    for k in sorted(std):
+        prod = kit.matmul(prod, kit.expm(std[k]))
+    assert np.array_equal(psi_standard(kit, x, y, 1.0, 201), prod,
+                          equal_nan=True)
 
 
 def test_matrix_csv_round_trip(tmp_path):
