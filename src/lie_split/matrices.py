@@ -2,7 +2,7 @@
 evaluation of the splitting products.
 
 A *kit* bundles the matrix operations the rest of the code needs (arithmetic,
-exponential, norms) for one precision level: NumpyKit wraps float64/scipy,
+exponential, norms) for one precision level: NumpyKit holds float64 arrays,
 MPKit holds mpmath numbers at a configurable number of significant digits
 (>= 30 for the extended mode) in numpy object arrays.  Both kits hold their
 matrices as numpy arrays, so their arithmetic, products and brackets are
@@ -16,19 +16,24 @@ the series peelers; its ``stacks`` is the kit.  Series products (the
 peeling oracles) stay one kit call per coefficient pair.
 symmetric_products and standard_products build every truncated product of
 the two splittings; once a product overflows (the kit's ``finite``), later
-factors are not exponentiated, since every later product is non-finite.  MPKit exponentiates a finite 2 x 2 matrix by its
+factors are not exponentiated, since every later product is non-finite.
+NumpyKit exponentiates by scaling and squaring with a Pade approximant
+(Al-Mohy and Higham 2009), on Python floats for a full finite 2 x 2 and on
+numpy arrays otherwise.  MPKit exponentiates a finite 2 x 2 matrix by its
 closed form (Putzer's formula), any other finite matrix by scaling and
-squaring on integer mantissas, and a matrix with a non-finite entry to all
-nan.
+squaring on integer mantissas.  Both kits exponentiate a matrix with a
+non-finite entry to all nan.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Dict
 
 import numpy as np
-import scipy.linalg
+from numpy.random import default_rng
 
 import mpmath as mp
 
@@ -85,7 +90,16 @@ class _ArrayKit:
 
 
 class NumpyKit(_ArrayKit):
-    """float64 matrices; scipy's scaling-and-squaring exponential."""
+    """float64 matrices.  The exponential is scaling and squaring with an
+    [m/m] Pade approximant r_m (Higham 2005): order m in 3, 5, 7, 9, 13 and
+    s squarings as in Al-Mohy and Higham 2009, Algorithm 5.1, with exact
+    1-norms and their extra squarings ell against overscaling, and r_m
+    formed as I + 2 (V - U)^-1 U.  A diagonal matrix takes exp of its
+    diagonal; a triangular one their Code Fragment 2.1 (the exact diagonal
+    and first superdiagonal between squarings; lower triangular through
+    the transpose); a matrix with a non-finite entry gives all nan.  A
+    full finite 2 x 2 runs on four Python floats (_Floats2), anything else
+    on numpy arrays (_Array)."""
 
     name = "double"
     dtype = float
@@ -100,16 +114,24 @@ class NumpyKit(_ArrayKit):
         return np.isfinite(a).all()
 
     def expm(self, a):
+        if a.shape == (2, 2):
+            x = a.ravel().tolist()
+            # finite and neither triangle zero: Python floats, the fast path
+            if x[1] and x[2] and math.isfinite(sum(x)):
+                r, s = _pade_scaled(_Floats2, x, _Floats2.norm1(x))
+                for _ in range(s):
+                    r = _Floats2.mul(r, r)
+                return np.array(r).reshape(2, 2)
         with self.context():
-            return scipy.linalg.expm(a)
+            return _expm_array(a)
 
     def norm2(self, a):
-        if not np.all(np.isfinite(a)):
+        if not self.finite(a):
             return float("inf")
         return float(np.linalg.norm(a, 2))
 
     def frobenius(self, a):
-        if not np.all(np.isfinite(a)):
+        if not self.finite(a):
             return float("inf")
         # rescale first: squaring entries of size 1e154 and up overflows
         peak = float(np.max(np.abs(a), initial=0.0))
@@ -420,6 +442,261 @@ class MantissaStack:
         self.man[i], self.exp[i], self.bad[i] = self.kit.to_mantissas(a)
 
 
+# ---------------------------------------------------------------------------
+# The double exponential: scaling and squaring with a Pade approximant
+
+# b_j of the [m/m] Pade approximant of e^x, p(x) / p(-x) with
+# p(x) = sum_j b_j x^j (Higham 2005)
+_PADE = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.),
+}
+# p's coefficients on I, A^2, ..., A^(m-1) as two rows: the odd part over
+# A, the even part; for m = 13 on I, A^2, A^4, A^6 only, and the terms
+# above A^6 as A^6 times _PADE_HIGH on A^2, A^4, A^6
+_PADE_ROWS = {m: np.array([b[1:m + 1:2], b[0:m:2]]) for m, b in _PADE.items()}
+_PADE_ROWS[13] = _PADE_ROWS[13][:, :4]
+_PADE_HIGH = np.array([_PADE[13][9::2], _PADE[13][8:13:2]])
+# theta_m: the largest eta for which r_m has backward error below the unit
+# roundoff (Al-Mohy and Higham 2009, Table 3.1)
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+# 1 / |c_(2m+1)|, the leading coefficient of r_m's backward error series
+_LEADING = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
+            9: 5914384781877411840000.,
+            13: 113250775606021113483283660800000000.}
+_UNIT = 2.0 ** -53
+_FLOAT_MAX = float(np.finfo(float).max)
+# below this 1-norm ||A||^(2m) / |c_(2m+1)|^-1 <= u, so ell(A, m) = 0
+_ELL_FREE = {m: (_UNIT * c) ** (1 / (2 * m)) for m, c in _LEADING.items()}
+
+
+def _pade_scaled(ops, a, norm):
+    """(r_m(2^-s A), s): the [m/m] Pade approximant at A / 2^s, with the
+    order m and the s squarings of Al-Mohy and Higham 2009, Algorithm 5.1
+    (exact 1-norms).  ``ops`` is the arithmetic, _Floats2 or _Array, and
+    ``norm`` is ||A||_1."""
+    rows = ops.abs_power_rows(a)
+    a2 = ops.mul(a, a)
+    # every eta below is at most ||A||_1: so far the algorithm's first
+    # choice goes without A^4 and A^6
+    if norm <= _THETA[3] and _ell(rows, 3, norm) == 0:
+        return ops.pade(a, [a2], 3), 0
+    a4 = ops.mul(a2, a2)
+    a6 = ops.mul(a4, a2)
+    d6 = ops.norm1(a6) ** (1 / 6)
+    eta = max(ops.norm1(a4) ** (1 / 4), d6)
+    for m in (3, 5):
+        if eta <= _THETA[m] and _ell(rows, m, norm) == 0:
+            return ops.pade(a, [a2, a4][:m // 2], m), 0
+    a8 = ops.mul(a4, a4)
+    d8 = ops.norm1(a8) ** (1 / 8)
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta <= _THETA[m] and _ell(rows, m, norm) == 0:
+            return ops.pade(a, [a2, a4, a6, a8][:m // 2], m), 0
+    d10 = ops.norm1(ops.mul(a4, a6)) ** (1 / 10)
+    eta = min(eta, max(d8, d10))
+    if not eta <= norm:  # nan where a power overflowed; no eta exceeds it
+        eta = norm
+    s = max(0, math.ceil(math.log2(eta / _THETA[13]))) if eta else 0
+    b = ops.scaled(a, 2.0 ** -s)
+    more = _ell(ops.abs_power_rows(b), 13, norm * 2.0 ** -s)
+    if more:
+        s += more
+        b = ops.scaled(a, 2.0 ** -s)
+    if not s:
+        return ops.pade(a, [a2, a4, a6], 13), 0
+    # the powers of 2^-s A afresh: the same bits as scaled powers of A,
+    # and finite where those overflowed
+    b2 = ops.mul(b, b)
+    b4 = ops.mul(b2, b2)
+    return ops.pade(b, [b2, b4, ops.mul(b4, b2)], 13), s
+
+
+def _ell(rows, m, norm):
+    """The extra squarings that Al-Mohy and Higham 2009 (Section 5) add so
+    that r_m(A) keeps its backward error bound: max(0, ceil(log2(alpha / u)
+    / 2m)) with alpha = || |A|^(2m+1) ||_1 / (|c_(2m+1)|^-1 ||A||_1).
+    ``rows`` yields (p, 1^T |A|^p) for p = 7, 11, 15, ..., the p = 2m + 1
+    of every m; calls for one A come with growing m."""
+    if norm <= _ELL_FREE[m]:
+        return 0
+    for p, row in rows:
+        if p == 2 * m + 1:
+            break
+    alpha = min(max(row), _FLOAT_MAX) / (norm * _LEADING[m])
+    if not alpha > _UNIT:  # also nan, where |A|^p overflowed
+        return 0
+    return math.ceil(math.log2(alpha / _UNIT) / (2 * m))
+
+
+class _Array:
+    """The arithmetic of _pade_scaled on an n x n float64 array."""
+
+    mul = staticmethod(np.matmul)
+
+    @staticmethod
+    def norm1(a):
+        # the ufuncs' reduce costs less than a.sum(0).max() on small arrays
+        return float(np.maximum.reduce(np.add.reduce(np.abs(a))))
+
+    @staticmethod
+    def scaled(a, c):
+        return a * c
+
+    @staticmethod
+    def abs_power_rows(a):
+        mod = np.abs(a)
+        mod2 = mod @ mod
+        row, p = np.add.reduce(mod) @ mod2, 3
+        mod4 = mod2 @ mod2
+        while True:
+            row, p = row @ mod4, p + 4
+            yield p, row
+
+    @staticmethod
+    def pade(a, even, m):
+        """r_m(A) = I + 2 (V - U)^-1 U, with U the odd and V the even part
+        of p(A), from ``even`` = [A^2, A^4, ..., A^(m-1)], or
+        [A^2, A^4, A^6] for m = 13: one product with a coefficient
+        matrix sums all powers."""
+        n = len(a)
+        eye = np.eye(n)
+        stack = np.array([eye, *even]).reshape(len(even) + 1, n * n)
+        uv = (_PADE_ROWS[m] @ stack).reshape(2, n, n)
+        if m == 13:
+            uv += even[2] @ (_PADE_HIGH @ stack[1:]).reshape(2, n, n)
+        u, v = a @ uv[0], uv[1]
+        r = np.linalg.solve(v - u, u + u)
+        r += eye
+        return r
+
+
+class _Floats2:
+    """The arithmetic of _pade_scaled on a 2 x 2 as the list [p, q, r, s]
+    of Python floats: numpy's overhead per call is most of the cost of a
+    2 x 2 operation.  The same steps as _Array."""
+
+    @staticmethod
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
+
+    @staticmethod
+    def norm1(x):
+        a, b, c, d = x
+        return max(abs(a) + abs(c), abs(b) + abs(d))
+
+    @staticmethod
+    def scaled(x, c):
+        return [v * c for v in x]
+
+    @staticmethod
+    def abs_power_rows(x):
+        mod = [abs(v) for v in x]
+        a, b, c, d = mod2 = _Floats2.mul(mod, mod)
+        u, v = mod[0] + mod[2], mod[1] + mod[3]
+        u, v, p = u * a + v * c, u * b + v * d, 3
+        a, b, c, d = _Floats2.mul(mod2, mod2)
+        while True:
+            u, v, p = u * a + v * c, u * b + v * d, p + 4
+            yield p, (u, v)
+
+    @staticmethod
+    def pade(x, even, m):
+        b = _PADE[m]
+        u, v = [0.0] * 4, [0.0] * 4
+        for j in range(len(even), 0, -1):
+            cu, cv, p = b[2 * j + 1], b[2 * j], even[j - 1]
+            u = [w + cu * e for w, e in zip(u, p)]
+            v = [w + cv * e for w, e in zip(v, p)]
+        u[0] += b[1]
+        u[3] += b[1]
+        v[0] += b[0]
+        v[3] += b[0]
+        if m == 13:
+            b2, b4, b6 = even
+            hu = _Floats2.mul(b6, [b[13] * p + b[11] * q + b[9] * r
+                                   for p, q, r in zip(b6, b4, b2)])
+            hv = _Floats2.mul(b6, [b[12] * p + b[10] * q + b[8] * r
+                                   for p, q, r in zip(b6, b4, b2)])
+            u = [h + w for h, w in zip(hu, u)]
+            v = [h + w for h, w in zip(hv, v)]
+        u = _Floats2.mul(x, u)
+        # (V - U) R = 2U by Gaussian elimination with partial pivoting
+        q0, q1, q2, q3 = (w - z for w, z in zip(v, u))
+        r0, r1, r2, r3 = (z + z for z in u)
+        if abs(q2) > abs(q0):
+            q0, q1, q2, q3, r0, r1, r2, r3 = q2, q3, q0, q1, r2, r3, r0, r1
+        f = q2 / q0
+        q3 -= f * q1
+        y2 = (r2 - f * r0) / q3
+        y3 = (r3 - f * r1) / q3
+        return [(r0 - q1 * y2) / q0 + 1, (r1 - q1 * y3) / q0, y2, y3 + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _triangles(n):
+    """Index arrays of the strictly lower and upper triangles, cached per
+    n: callers must not write to them."""
+    return np.tril_indices(n, -1), np.triu_indices(n, 1)
+
+
+def _expm_array(a):
+    """e^A of an n x n float64 array by scaling and squaring (see
+    NumpyKit.expm); a non-finite entry gives all nan."""
+    # a finite 1-norm: finite entries (nan stays nan through both reduces)
+    norm = _Array.norm1(a)
+    if not math.isfinite(norm) and not np.isfinite(a).all():
+        return np.full(a.shape, np.nan)
+    # a nonzero corner rules its triangle out without a look at the rest
+    n = len(a)
+    lower, upper = _triangles(n)
+    below = n > 1 and a[-1, 0] != 0 or a[lower].any()
+    above = n > 1 and a[0, -1] != 0 or a[upper].any()
+    if not (below or above):
+        return np.diag(np.exp(a.diagonal()))
+    if not above:
+        return _expm_array(a.T).T
+    r, s = _pade_scaled(_Array, a, norm)
+    if below:
+        for _ in range(s):
+            r = r @ r
+        return r
+    # upper triangular: Code Fragment 2.1 of Al-Mohy and Higham 2009 puts
+    # the exact diagonal and first superdiagonal of exp(2^-i A) into the
+    # square that stands for it
+    d, sup = a.diagonal(), a.diagonal(1)
+    first = np.arange(n - 1), np.arange(1, n)
+    np.fill_diagonal(r, np.exp(d * 2.0 ** -s))
+    for i in range(s - 1, -1, -1):
+        r = r @ r
+        lam = d * 2.0 ** -i
+        np.fill_diagonal(r, np.exp(lam))
+        r[first] = sup * 2.0 ** -i * _exp_divided(lam[:-1], lam[1:])
+    return np.triu(r)
+
+
+def _exp_divided(x, y):
+    """The divided difference (e^x - e^y) / (x - y), elementwise (e^x where
+    x = y): as written where x and y are apart, and as
+    e^((x+y)/2) sinh(h) / h, h = (x-y)/2, where they are close and the
+    difference cancels (Higham 2008, (10.42))."""
+    h = (x - y) / 2
+    near = np.exp((x + y) / 2) * np.divide(np.sinh(h), h,
+                                           out=np.ones_like(h), where=h != 0)
+    return np.where(abs(h) < 1, near, (np.exp(x) - np.exp(y)) / (x - y))
+
+
 def kit_for(precision: str):
     """Kit for a precision mode name: 'double' or 'extended'."""
     if precision == "double":
@@ -472,7 +749,7 @@ def random_matrix(dim: int, target_norm: float, seed: int) -> np.ndarray:
         raise ValueError("dimension must be positive")
     if target_norm <= 0:
         raise ValueError("target norm must be positive")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
     return a * (target_norm / np.linalg.norm(a, 2))
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from lie_split import matrices
 from lie_split.cli import main
 from lie_split.engine import one_sided_terms, symmetric_terms
 from lie_split.experiments import run_fig3
@@ -58,6 +59,16 @@ def test_kit_expm_matches_scipy(kit):
     m = rng.uniform(-0.5, 0.5, (4, 4))
     e = as_numpy(kit, kit.expm(kit.from_numpy(m)))
     assert np.linalg.norm(e - scipy_expm(m)) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [[["inf", 0], [0, 1]], [["nan", 1], [0, 1]]],
+                         ids=["inf", "nan"])
+@pytest.mark.parametrize("kit", KITS, ids=lambda k: k.name)
+def test_kit_expm_of_nonfinite_matrix_is_all_nan(kit, rows):
+    # scipy's expm gives [[inf, 0], [0, e]] and [[nan, nan], [0, nan]]
+    got = kit.expm(kit.matrix(rows))
+    assert got.shape == (2, 2)
+    assert all(math.isnan(kit.to_float(v)) for v in got.flat)
 
 
 @pytest.mark.parametrize("kit", KITS, ids=lambda k: k.name)
@@ -196,17 +207,12 @@ def test_splitting_error_norm_choices():
 # ---------------------------------------------------------------------------
 # Products of an overflowed half skip their later exponentials
 
-def counted_expm(monkeypatch, kit_class):
-    calls = []
-    expm = kit_class.expm
-    monkeypatch.setattr(kit_class, "expm",
-                        lambda kit, a: calls.append(a) or expm(kit, a))
-    return calls
-
-
 def test_default_double_fig3_skips_factors_of_overflowed_products(
         monkeypatch, tmp_path, capsys):
-    calls = counted_expm(monkeypatch, NumpyKit)
+    calls = []
+    expm = NumpyKit.expm
+    monkeypatch.setattr(NumpyKit, "expm",
+                        lambda kit, a: calls.append(a) or expm(kit, a))
     assert main(["fig3", "--out", str(tmp_path / "fig3.csv")]) == 0
     capsys.readouterr()
     # without the skip: 21 lambdas x (1 + 2 + 100 + 2 + 200) = 6,405
@@ -322,6 +328,96 @@ def test_matrix_module_and_series_algebra_contracts():
     a = random_matrix(3, 0.5, 71)
     assert np.array_equal(mod.add(a, z), a)
     assert np.array_equal(alg.mul(alg.unit(), a), a)
+
+
+# ---------------------------------------------------------------------------
+# NumpyKit.expm: scaling and squaring in numpy (Python floats for a full
+# 2 x 2); MPKit(50) is the reference and scipy's expm the accuracy to keep
+
+def one_norm(a):
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def double_expm_cases():
+    """(label, A) for n in 1, 2, 5, 20, 50: random matrices at 1-norms
+    1e-8 ... 1e4 (skew-symmetric from 1e3 on, so that e^A stays finite),
+    and diagonal, upper and lower triangular, nilpotent and zero ones."""
+    rng = np.random.default_rng(2024)
+    cases = [("zero n=5", np.zeros((5, 5)))]
+    for n in (1, 2, 5, 20, 50):
+        norms = (1e-8, 1e-4, 1e-2, 0.3, 1.0, 5.0, 30.0, 300.0, 1e3, 1e4)
+        if n == 1:
+            norms = norms[:-2]
+        if n == 50:  # 50-digit references of 50 x 50 take about 1 s each
+            norms = (1e-8, 1.0, 1e4)
+        for norm in norms:
+            a = rng.uniform(-1, 1, (n, n))
+            kinds = {"random": a - a.T if norm >= 1e3 else a}
+            if n > 1 and norm in (1e-4, 1.0, 30.0):
+                up = np.triu(rng.uniform(-1, 1, (n, n)))
+                kinds.update(diagonal=np.diag(up.diagonal()), upper=up,
+                             lower=up.T.copy(), nilpotent=np.triu(up, 1))
+            cases += [(f"{kind} n={n} norm={norm:g}", b * (norm / one_norm(b)))
+                      for kind, b in kinds.items()]
+    return cases
+
+
+def largest_entry_error(got, ref):
+    """max |got - ref| / max |ref|, at 50 digits."""
+    with mp.workdps(50):
+        peak = max(abs(v) for v in ref.flat)
+        err = max(abs(mp.mpf(float(g)) - r) for g, r in zip(got.flat, ref.flat))
+        return float(err / peak) if peak else float(err)
+
+
+def test_double_expm_matches_50_digits_as_well_as_scipy():
+    eps = np.finfo(float).eps
+    bands = {}
+    for label, a in double_expm_cases():
+        ref = EXT.expm(EXT.from_numpy(a))
+        ours = largest_entry_error(NumpyKit().expm(a), ref)
+        theirs = largest_entry_error(scipy_expm(a), ref)
+        norm = one_norm(a)
+        assert ours <= 10 * eps * max(1.0, norm), (label, ours, theirs)
+        band = sum(norm >= edge for edge in (1e-3, 5.4, 700))
+        bands.setdefault(band, []).append((ours, theirs))
+    # in every band of 1-norms the largest error is no larger than scipy's
+    assert sorted(bands) == [0, 1, 2, 3]
+    for band, errs in bands.items():
+        ours, theirs = zip(*errs)
+        assert max(ours) <= max(max(theirs), eps), (band, max(ours), max(theirs))
+
+
+@pytest.mark.parametrize("norm", [1e-4, 1.0, 30.0])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_double_expm_of_triangular_matrix_keeps_exact_diagonals(n, norm):
+    # Code Fragment 2.1: the diagonal is exp of A's, the first off-diagonal
+    # the divided difference of exp, also for two diagonal entries 1e-9
+    # apart, where (e^x - e^y) / (x - y) would lose half the digits
+    rng = np.random.default_rng(n)
+    up = np.triu(rng.uniform(-1, 1, (n, n)))
+    up[1, 1] = up[0, 0] * (1 + 1e-9)
+    up *= norm / one_norm(up)
+    for a, side in ((up, 1), (up.T.copy(), -1)):
+        got = NumpyKit().expm(a)
+        assert np.array_equal(got.diagonal(), np.exp(a.diagonal()))
+        ref = np.array(as_numpy(EXT, EXT.expm(EXT.from_numpy(a))))
+        err = np.abs(got.diagonal(side) - ref.diagonal(side)).max()
+        assert err <= 8 * np.finfo(float).eps * np.abs(ref).max(), (side, err)
+
+
+@pytest.mark.parametrize("norm", [1e-6, 0.1, 1.0, 3.0, 50.0, 600.0])
+def test_double_expm_of_2x2_floats_matches_the_array_path(norm):
+    rng = np.random.default_rng(int(norm * 1000))
+    for _ in range(20):
+        a = rng.uniform(-1, 1, (2, 2))
+        a *= norm / one_norm(a)
+        fast = NumpyKit().expm(a)
+        with np.errstate(all="ignore"):
+            slow = matrices._expm_array(a)
+        # both err by a few eps ||A|| (see the test above), not alike
+        tol = 20 * np.finfo(float).eps * max(1.0, norm)
+        assert np.abs(fast - slow).max() <= tol * np.abs(slow).max()
 
 
 # ---------------------------------------------------------------------------
