@@ -22,10 +22,11 @@ the "right" row (log-derivative of the right closing product).  The exponent
 of the next level is a scaled difference of the two rows.  The one-sided
 exponents D_k of exp(hX) exp(hY) exp(h^2 D_2) exp(h^3 D_3) ... come from
 one such row, advanced by the same level step; the series peels below
-recompute both kinds of exponent and serve only as oracles.  Each row is
-one stack (``series.stack_ops``): for matrices the kit's own (a
-(top+1, n, n) float64 array, or MPKit's integer mantissas), advanced by
-the kit with one broadcast bracket per ad power; for the symbolic and
+recompute both kinds of exponent and serve only as oracles.  One
+anti-diagonal pass seeds both rows.  Each row is one stack
+(``series.stack_ops``): for matrices the kit's own (a (top+1, n, n)
+float64 array, or MPKit's integer mantissas), advanced in place by the
+kit with one broadcast bracket per ad power; for the symbolic and
 structure-constant modules a list advanced by one module call per entry.
 Every 1/j! is folded into the step that builds the j-th power, so
 intermediates stay the size of the terms.
@@ -43,13 +44,15 @@ from .series import TruncSeries, exp_factor, stack_ops
 # ---------------------------------------------------------------------------
 # Seeds
 
-def _anti_diagonals(mod, ops, head, x, y, first, top: int):
+def _anti_diagonals(mod, ops, head, x, y, first, top: int, right=None):
     """Stack d[0..top] of the anti-diagonal sums
     d[l] = sum_{m+i=l} ad_y^m col[i] / m! of the column
-    col = [head, b_1, ..., b_top], b_j = first ad_x^j y / j!, built over one
-    stack W_m = ad_y^m col / m! advanced by one ad_y step (over every entry
-    at once) per m.  ``first`` rides on the first ad_x step instead of
-    costing a scaling.
+    col = [head, b_1, ..., b_top], b_j = first ad_x^j y / j!, built in place
+    over the stack W_m = ad_y^m col / m!, advanced by one ad_y step (over
+    every entry at once) per m.  ``first`` rides on the first ad_x step
+    instead of costing a scaling.  With a list ``right``, entry 0 of each
+    W_m, ad_y^m head / m!, is appended to it times 1/2^(m+1): a scaled copy,
+    not a view that would keep the step's whole stack alive.
     """
     col = [head]
     power = y
@@ -57,15 +60,17 @@ def _anti_diagonals(mod, ops, head, x, y, first, top: int):
         c = first if j == 1 else Fraction(1, j)
         power = mod.scale(c, mod.bracket(x, power))
         col.append(power)
-    w = ops.stack(col, top + 1)
-    diagonals = ops.copy(w)
+    diagonals = w = ops.stack(col, top + 1)
     for m in range(1, top + 1):
         w = ops.ad_into(diagonals, m, y, w[:top + 1 - m], Fraction(1, m))
+        if right is not None:
+            right.append(mod.scale(Fraction(1, 2 ** (m + 1)), w[0]))
     return diagonals
 
 
 def _seed_rows(mod, ops, x, y, top: int):
-    """Rows at level 1 for l = 0..top, as stacks.
+    """Rows at level 1 for l = 0..top, as stacks, from one anti-diagonal
+    pass.
 
     left[0] = right[0] = (x + y)/2
     left[l] = ((-1)^l / 2^l) * ( ad_y^l x / (2 l!)
@@ -74,18 +79,14 @@ def _seed_rows(mod, ops, x, y, top: int):
 
     The bracket of left[l] is the anti-diagonal sum with head x and
     first = 2: ad_y^l x / l! plus twice the sum above, whose j = 0 term
-    ad_y^l y vanishes for l >= 1.  Level l = 0 is (x+y)/2 instead.
+    ad_y^l y vanishes for l >= 1.  Level l = 0 is (x+y)/2 instead.  The
+    same pass forms every ad_y^l x / l! of right[l].
     """
-    diagonals = _anti_diagonals(mod, ops, x, x, y, Fraction(2), top)
     half_sum = mod.scale(Fraction(1, 2), mod.add(x, y))
-    left = [half_sum]
     right = [half_sum]
-    ady_x = x
-    for l in range(1, top + 1):
-        ady_x = mod.scale(Fraction(1, l), mod.bracket(y, ady_x))
-        left.append(mod.scale(Fraction((-1) ** l, 2 ** (l + 1)),
-                              diagonals[l]))
-        right.append(mod.scale(Fraction(1, 2 ** (l + 1)), ady_x))
+    diagonals = _anti_diagonals(mod, ops, x, x, y, Fraction(2), top, right)
+    left = [half_sum] + [mod.scale(Fraction((-1) ** l, 2 ** (l + 1)),
+                                   diagonals[l]) for l in range(1, top + 1)]
     return ops.stack(left, top + 1), ops.stack(right, top + 1)
 
 
@@ -93,26 +94,27 @@ def _seed_rows(mod, ops, x, y, top: int):
 # Term recursions
 
 def _advance_row(mod, ops, row, ck, k: int, sign: int, low: int = 0):
-    """One level step over a row stack: new[m + k j] gets
-    (sign^j / j!) ad_{C_k}^j row[m] for every m >= low and j >= 0, one ad
-    step over the whole shifted stack per j with its 1/j folded in; then
-    the l = k-1 entry, unless below low, is corrected by sign * k * C_k.
-    Corrections are never fed through ad_{C_k} at the same level, which
-    keeps term lists free of bracket pairs that only cancel after expansion.
+    """One level step over a row stack, in place: row[m + k j] gains
+    (sign^j / j!) ad_{C_k}^j row[m] for every m >= low and j >= 1, one ad
+    step over the whole shifted stack per j with its 1/j folded in (only
+    the j = 1 step reads the row, and ``ad_into`` forms its output before
+    it writes); then the l = k-1 entry, unless below low, is corrected by
+    sign * k * C_k.  Corrections are never fed through ad_{C_k} at the same
+    level, which keeps term lists free of bracket pairs that only cancel
+    after expansion.
     """
     top = len(row) - 1
-    new = ops.copy(row)  # j = 0 contribution
     if not mod.is_zero(ck):
         power = ops.nonzero(row[low:top + 1 - k])
         j = 1
         while low + k * j <= top:
-            power = ops.ad_into(new, low + k * j, ck,
+            power = ops.ad_into(row, low + k * j, ck,
                                 power[:top + 1 - low - k * j],
                                 Fraction(sign, j))
             j += 1
     if low <= k - 1 <= top:
-        new[k - 1] = mod.add(new[k - 1], mod.scale(Fraction(sign * k), ck))
-    return new
+        row[k - 1] = mod.add(row[k - 1], mod.scale(Fraction(sign * k), ck))
+    return row
 
 
 def check_max_degree(max_degree: int) -> None:

@@ -65,9 +65,6 @@ class ListStack:
         out.extend(self.mod.zero() for _ in range(length - len(out)))
         return out
 
-    def copy(self, s) -> list:
-        return list(s)
-
     def nonzero(self, s) -> list:
         """The stack with its known-zero entries replaced by None."""
         is_zero = self.mod.is_zero

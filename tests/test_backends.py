@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from lie_split import engine
 from lie_split.engine import one_sided_terms, standard_terms, symmetric_terms
 from lie_split.experiments import run_fig3
-from lie_split.freelie import FreeLieModule, LieCombo, expand_assoc
+from lie_split.freelie import FreeLieModule, LieCombo, bracket, expand_assoc
 from lie_split.matrices import (MPKit, MantissaStack, MatrixAlgebra,
                                 NumpyKit, frechet_pair, random_matrix)
 from lie_split.series import ListStack
@@ -287,3 +289,116 @@ def test_symbolic_terms_evaluated_on_matrices_match_recursion():
             direct += float(c) * m
         err = np.linalg.norm(numeric[k] - direct) / np.linalg.norm(direct)
         assert err <= REL, (k, err)
+
+
+def stack_kind(kind, offset):
+    """(stack ops, six entries with a zero among them, c) of one stack kind:
+    3 x 3 float64, 3 x 3 at 50 digits on mantissas, or free Lie elements
+    on a list, entry i of degree i + 1 and c of degree ``offset``, as in
+    the engine's rows."""
+    if kind == "list":
+        x, y = LieCombo.generator("X"), LieCombo.generator("Y")
+        elems = [x + y.scale(2)]
+        for letter in (y, x, y, x, x):
+            elems.append(bracket(letter, elems[-1]))
+        elems[3] = FreeLieModule().zero()
+        c = x.scale(3) - y if offset == 1 else bracket(x, y)
+        return ListStack(FreeLieModule()), elems, c
+    rng = np.random.default_rng(11)
+    mats = [rng.uniform(-1, 1, (3, 3)) * 10.0 ** i for i in range(-3, 3)]
+    mats[2] = np.zeros((3, 3))
+    c = rng.uniform(-1, 1, (3, 3))
+    if kind == "float64":
+        return DOUBLE, mats, c
+    return EXTENDED, [EXTENDED.from_numpy(m) for m in mats], \
+        EXTENDED.from_numpy(c)
+
+
+def stack_bits(s):
+    """Everything a stack holds, comparable bit for bit."""
+    if isinstance(s, MantissaStack):
+        return s.man.tolist(), s.exp.tolist(), s.bad.tolist()
+    if isinstance(s, np.ndarray):
+        return s.shape, s.tobytes()
+    return list(s)
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+@pytest.mark.parametrize("kind", ["float64", "mantissa", "list"])
+def test_ad_into_reads_a_slice_of_its_target_as_it_reads_a_copy(kind,
+                                                                 offset):
+    # the row steps read the slice s of the row dst they add into: every
+    # ad_into forms its whole output before it writes
+    ops, elems, c = stack_kind(kind, offset)
+    n = len(elems)
+    coef = Fraction(-2, 3)
+    aliased = ops.stack(elems, n)
+    out_aliased = ops.ad_into(aliased, offset, c,
+                              ops.nonzero(aliased[:n - offset]), coef)
+    apart = ops.stack(elems, n)
+    source = ops.nonzero(ops.stack(elems, n)[:n - offset])
+    out_apart = ops.ad_into(apart, offset, c, source, coef)
+    assert stack_bits(aliased) == stack_bits(apart)
+    assert stack_bits(out_aliased) == stack_bits(out_apart)
+    assert stack_bits(aliased) != stack_bits(ops.stack(elems, n))
+
+
+def copied(s):
+    """A row stack's own copy, for the copying step below."""
+    if isinstance(s, MantissaStack):
+        return MantissaStack(s.kit, s.man.copy(), s.exp.copy(), s.bad.copy())
+    return s.copy() if isinstance(s, np.ndarray) else list(s)
+
+
+def advance_row_copying(mod, ops, row, ck, k, sign, low=0):
+    """engine._advance_row as a copying step: the new row is a copy of the
+    old one, which the ad steps read and never write."""
+    top = len(row) - 1
+    new = copied(row)
+    if not mod.is_zero(ck):
+        power = ops.nonzero(row[low:top + 1 - k])
+        j = 1
+        while low + k * j <= top:
+            power = ops.ad_into(new, low + k * j, ck,
+                                power[:top + 1 - low - k * j],
+                                Fraction(sign, j))
+            j += 1
+    if low <= k - 1 <= top:
+        new[k - 1] = mod.add(new[k - 1], mod.scale(Fraction(sign * k), ck))
+    return new
+
+
+def matrix_bits(a):
+    return (a.tobytes() if a.dtype != object
+            else [v._mpf_ for v in a.flat])
+
+
+@pytest.mark.parametrize("kit", [DOUBLE, EXTENDED], ids=lambda k: k.name)
+def test_in_place_row_steps_match_copying_steps_on_fig3_pair(kit,
+                                                             monkeypatch):
+    x, y = frechet_pair(kit, Fraction(1, 5))
+    alg = MatrixAlgebra(kit, 2)
+    runs = []
+    for step in (engine._advance_row, advance_row_copying):
+        monkeypatch.setattr(engine, "_advance_row", step)
+        runs.append([symmetric_terms(alg, y, x, 101),
+                     one_sided_terms(alg, x, y, 101)])
+    for in_place, copying in zip(*runs):
+        assert sorted(in_place) == sorted(copying)
+        for k in copying:
+            assert matrix_bits(in_place[k]) == matrix_bits(copying[k]), k
+
+
+@pytest.mark.parametrize("terms", [symmetric_terms, one_sided_terms])
+def test_term_recursions_on_50x50_pair_stay_below_8_mib(terms):
+    # 2.5 MiB is the 51 x 50 x 50 float64 row; a seed entry kept as a view
+    # of its step's whole stack takes the peak to about 29 MiB
+    x, y = random_matrix(50, 1.0, 0), random_matrix(50, 1.0, 1)
+    alg = MatrixAlgebra(DOUBLE, 50)
+    tracemalloc.start()
+    try:
+        terms(alg, x, y, 51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20

@@ -75,18 +75,23 @@ def test_expand_json_is_byte_identical_to_the_golden_output(capsys):
 
 # sha256 of extended --out CSVs as written while MPKit exponentiated every
 # matrix beyond 2 x 2 with mp.expm: an 8 x 8 one-sided product and a 4 x 4
-# fig2 curve, both through that path at every degree
+# fig2 curve, both through that path at every degree; and the 6 x 6
+# palindromic product of the benchmark's extended eval-matrix shape, as
+# written while MPKit formed every product and seed bracket on mpf arrays
 EXTENDED_OUT_SHA256 = [
     (["eval-matrix", "--random", "8", "--target", "2.0", "--max-degree",
       "15", "--variant", "standard", "--seed", "5"],
      "d14a8eee3e7920cff60f5a298d862a455a5bdd6eded3dd84cde1500e7c6372ea"),
     (["fig2", "--dimension", "4", "--n-max", "11", "--seed", "3"],
      "b90cc286f7fc7c4fa19804a75146a5a8d2ae2965640788b3a7101d0df45c0321"),
+    (["eval-matrix", "--random", "6", "--target", "1.0", "--max-degree",
+      "21", "--seed", "0"],
+     "069335599e0b4f480aec98d5161dbf46b30cef0e28df2a91e833087c3dab2663"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", EXTENDED_OUT_SHA256,
-                         ids=["eval-matrix", "fig2"])
+                         ids=["eval-matrix", "fig2", "eval-matrix-6x6"])
 def test_extended_outputs_are_byte_identical_to_the_golden_output(
         tmp_path, capsys, argv, digest):
     out = tmp_path / "out.csv"

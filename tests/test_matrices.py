@@ -16,7 +16,8 @@ from lie_split import matrices
 from lie_split.cli import main
 from lie_split.engine import one_sided_terms, symmetric_terms
 from lie_split.experiments import run_fig3
-from lie_split.matrices import (MPKit, MatrixAlgebra, NumpyKit, _exp,
+from lie_split.matrices import (GUARD_BITS, MPKit, MatrixAlgebra, NumpyKit,
+                                _ArrayKit, _exp,
                                 frechet_pair, kit_for, load_matrix_csv,
                                 psi_standard, psi_symmetric, random_matrix,
                                 save_matrix_csv, splitting_error,
@@ -614,3 +615,78 @@ def test_extended_expm_of_large_norms_returns_promptly():
 def test_extended_expm_beyond_2x2_is_mp_expm(n, seed):
     a = EXT.from_numpy(random_matrix(n, 2.0, seed))
     assert EXT.expm(a).tolist() == mp_expm(a).tolist()
+
+
+# ---------------------------------------------------------------------------
+# MPKit.matmul and bracket: integer mantissas beyond 2 x 2, the mpf arrays
+# of _ArrayKit otherwise; exact Fraction products are the reference
+
+def mixed_magnitudes(n, seed):
+    """An n x n matrix at 50 digits with full mantissas, its elements'
+    magnitudes spread from 1e-30 to 1e30, and a zero element."""
+    rng = np.random.default_rng(seed)
+    with mp.workdps(50):
+        a = np.array([[mp.pi * rng.uniform(-1, 1)
+                       * mp.mpf(10) ** int(rng.integers(-30, 31))
+                       for _ in range(n)] for _ in range(n)], dtype=object)
+    a[n - 1, 0] = EXT.scalar(0)
+    return a
+
+
+def exact(v):
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def exact_products(a, b):
+    fa, fb = (np.array([[exact(v) for v in row] for row in m], dtype=object)
+              for m in (a, b))
+    return {"matmul": fa @ fb, "bracket": fa @ fb - fb @ fa}
+
+
+def raw_bits(a):
+    return [v._mpf_ for v in a.flat]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_extended_products_beyond_2x2_match_exact_fractions(n):
+    # each operand is written onto its grid (error below 2**(1 - bits) of
+    # its largest element), multiplied exactly, floored once onto the grid
+    # of the largest result and read to nearest at the kit's digits
+    a, b = mixed_magnitudes(n, 900 + n), mixed_magnitudes(n, 950 + n)
+    peak = max(abs(exact(v)) for v in a.flat) * max(abs(exact(v))
+                                                    for v in b.flat)
+    unit, prec = Fraction(2) ** (1 - EXT.bits), EXT.bits - GUARD_BITS
+    for name, want in exact_products(a, b).items():
+        got = getattr(EXT, name)(a, b)
+        terms = 2 * n if name == "matmul" else 4 * n
+        grid = unit * (terms * peak + max(abs(w) for w in want.flat))
+        for g, w in zip(got.flat, want.flat):
+            assert abs(exact(g) - w) <= grid + abs(w) / 2 ** prec, (name, g)
+        with mp.workdps(50):  # read at the kit's digits
+            assert all(+v == v for v in got.flat)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("special", ["zero", "nan", "inf"])
+def test_extended_products_of_zero_and_nonfinite_operands(n, special):
+    a, b = mixed_magnitudes(n, 1000 + n), mixed_magnitudes(n, 1050 + n)
+    if special == "zero":
+        a = EXT.zeros(n, n)
+    else:
+        a[1, 2] = EXT.scalar(special)
+    for name in ("matmul", "bracket"):
+        got = getattr(EXT, name)(a, b)
+        # the mpf arrays' products: zeros are exact, and non-finite
+        # operands keep their inf and nan pattern
+        assert raw_bits(got) == raw_bits(getattr(_ArrayKit, name)(EXT, a, b))
+        if special == "zero":
+            assert not any(got.flat)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extended_products_up_to_2x2_stay_on_mpf_arrays(n):
+    a, b = mixed_magnitudes(n, 1100 + n), mixed_magnitudes(n, 1150 + n)
+    for name in ("matmul", "bracket"):
+        assert raw_bits(getattr(EXT, name)(a, b)) == \
+            raw_bits(getattr(_ArrayKit, name)(EXT, a, b))
