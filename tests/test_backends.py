@@ -391,8 +391,8 @@ def test_in_place_row_steps_match_copying_steps_on_fig3_pair(kit,
 
 @pytest.mark.parametrize("terms", [symmetric_terms, one_sided_terms])
 def test_term_recursions_on_50x50_pair_stay_below_8_mib(terms):
-    # 2.5 MiB is the 51 x 50 x 50 float64 row; a seed entry kept as a view
-    # of its step's whole stack takes the peak to about 29 MiB
+    # one 51 x 50 x 50 float64 row is 1 MiB; seed entries kept as views of
+    # their steps' whole stacks take the peak to 29 MiB
     x, y = random_matrix(50, 1.0, 0), random_matrix(50, 1.0, 1)
     alg = MatrixAlgebra(DOUBLE, 50)
     tracemalloc.start()
