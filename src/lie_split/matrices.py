@@ -10,11 +10,11 @@ written once, in a common base; MPKit forms the products of matrices
 beyond 2 x 2 on integer mantissas instead.  Each kit also holds the rows
 of the term recursions, one stack per row, so a row advances in place by
 broadcast products instead of one call per entry: NumpyKit as one
-(count, n, n) float64 array, MPKit as a MantissaStack of integer
-mantissas with one binary exponent per entry.  MatrixAlgebra adapts a kit to both the ad-module
-interface of the term recursion and the associative-algebra interface of
-the series peelers; its ``stacks`` is the kit.  Series products (the
-peeling oracles) stay one kit call per coefficient pair.
+(count, n, n) float64 array, MPKit as a MantissaStack of integer mantissas
+with one binary exponent per entry.  MatrixAlgebra adapts a kit to both
+the ad-module interface of the term recursion and the associative-algebra
+interface of the series peelers; its ``stacks`` is the kit.  Series
+products (the peeling oracles) stay one kit call per coefficient pair.
 symmetric_products and standard_products build every truncated product of
 the two splittings; once a product overflows (the kit's ``finite``), later
 factors are not exponentiated, since every later product is non-finite.
@@ -194,7 +194,7 @@ class MPKit(_ArrayKit):
     zero); an ad step flags the results of flagged entries, or all results
     when c is flagged, an add flags its target, and a flagged entry reads
     as all nan.  ``matmul`` and ``bracket`` of finite n x n matrices,
-    n > 2, run on one-entry stacks: a b errs by less than 2**(1 - bits)
+    n > 2, run on stack entries: a b errs by less than 2**(1 - bits)
     (2n |a| |b| + |a b|) before the read, a bracket with 4n for 2n.  Finite
     2 x 2 products (cheaper on ``mpf``) and non-finite ones stay on mpf.
 
@@ -254,13 +254,14 @@ class MPKit(_ArrayKit):
 
     def _product(self, a, b, form, fallback):
         """form(a, b) of n x n matrices: for n > 2 and finite operands on
-        their mantissas, as one-entry stacks (see the class docstring);
+        their mantissas, as one stack entry (see the class docstring);
         otherwise ``fallback`` on the mpf arrays, cheaper at 2 x 2."""
         if len(a) > 2:
-            p, q = self.stack([a], 1), self.stack([b], 1)
-            if not (p.bad[0] or q.bad[0]):
-                return self._normalised(form(p.man, q.man), p.exp + q.exp,
-                                        p.bad)[0]
+            (am, ae, abad), (bm, be, bbad) = map(self.to_mantissas, (a, b))
+            if not (abad or bbad):
+                return self._normalised(form(am, bm)[None],
+                                        np.array([ae + be], dtype=object),
+                                        np.zeros(1, dtype=bool))[0]
         return fallback(a, b)
 
     def finite(self, a):
@@ -408,9 +409,9 @@ class MPKit(_ArrayKit):
 
     def to_mantissas(self, a):
         """A matrix as (man, exp, flagged), normalised as a stack entry;
-        a non-finite element gives zero mantissas and the flag.  Works on
-        the raw (sign, man, exp, bitcount) tuples of the elements, each
-        truncated toward zero onto the grid 2**exp."""
+        a non-finite element gives zero mantissas and the flag.  Each raw
+        mantissa (an mpz when mpmath runs on gmpy2) becomes an int, cut
+        toward zero onto the grid 2**exp."""
         man = np.zeros(a.shape, dtype=object)
         with self.context():
             raws = [mp.mpf(v)._mpf_ for v in a.flat]
@@ -420,7 +421,7 @@ class MPKit(_ArrayKit):
             return man, 0, False
         exp = max(e + bc for _, m, e, bc in raws if m) - self.bits
         man.flat = [(-1 if sign else 1)
-                    * (m << e - exp if e >= exp else m >> exp - e)
+                    * (int(m) << e - exp if e >= exp else int(m) >> exp - e)
                     for sign, m, e, _ in raws]
         return man, exp, False
 

@@ -690,3 +690,48 @@ def test_extended_products_up_to_2x2_stay_on_mpf_arrays(n):
     for name in ("matmul", "bracket"):
         assert raw_bits(getattr(EXT, name)(a, b)) == \
             raw_bits(getattr(_ArrayKit, name)(EXT, a, b))
+
+
+class ForeignInt:
+    """An integer type that is not int, as gmpy2's mpz is when mpmath
+    runs on gmpy2: int.bit_length does not take it."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __int__(self):
+        return self.v
+
+    def __lshift__(self, k):
+        return ForeignInt(self.v << k)
+
+    def __rshift__(self, k):
+        return ForeignInt(self.v >> k)
+
+    def __rmul__(self, c):
+        return ForeignInt(c * self.v)
+
+
+class ForeignMantissa:
+    """An mpf-like number whose raw tuple holds a ForeignInt mantissa."""
+
+    def __init__(self, v):
+        sign, man, exp, bc = v._mpf_
+        self._mpf_ = (sign, ForeignInt(man), exp, bc)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_extended_mantissas_are_python_ints_whatever_mpmath_holds(n):
+    a, b = mixed_magnitudes(n, 1200 + n), mixed_magnitudes(n, 1250 + n)
+    fa, fb = (np.array([[ForeignMantissa(v) for v in row] for row in m],
+                       dtype=object) for m in (a, b))
+    for m in (a, fa):
+        man, exp, bad = EXT.to_mantissas(m)
+        assert all(type(v) is int for v in man.flat)
+        assert type(exp) is int and not bad
+    for name in ("matmul", "bracket"):
+        assert raw_bits(getattr(EXT, name)(fa, fb)) == \
+            raw_bits(getattr(EXT, name)(a, b))
