@@ -59,8 +59,8 @@ def refined_log_rows(xs: Sequence[float], ys: Sequence[float],
     S[0] = x + y
     S[l] = ( y^l x + y (x+y)^l ) / l!
     """
-    if min(xs) < 0 or min(ys) < 0:
-        raise ValueError("norms must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0 for v in (*xs, *ys)):
+        raise ValueError("norms must be finite and nonnegative")
     lx = np.array([_log(x) for x in xs])[:, None]
     ly = np.array([_log(y) for y in ys])[:, None]
     lxy = np.array([_log(x + y) for x, y in zip(xs, ys)])[:, None]

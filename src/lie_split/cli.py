@@ -273,8 +273,8 @@ def _cmd_convergence(args) -> int:
         x0, x1, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError("scan must look like x0:x1:steps")
-    if steps < 2 or x1 <= x0:
-        raise ValueError("scan needs x1 > x0 and at least 2 steps")
+    if steps < 2 or not -np.inf < x0 < x1 < np.inf:
+        raise ValueError("scan needs finite x1 > x0 and at least 2 steps")
     grid = np.linspace(x0, x1, steps)
     out = args.out or "boundary.csv"
     write_boundary_csv(grid, args.depth, args.seed or 0, args.mirror, out)

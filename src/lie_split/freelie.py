@@ -10,6 +10,12 @@ structurally identical trees, which is unambiguous.
 Mathematical equality of two combinations is decided by expanding brackets
 into noncommutative words ([a, b] -> ab - ba) and comparing the resulting
 associative polynomials, which are a faithful representation.
+
+Both kinds of combination, tree combinations (LieCombo) and word
+polynomials (AssocPoly), share one storage and one arithmetic (_Combo): a
+reduced common denominator and integer numerators, so sums, scalings,
+brackets and products run on ints and build no Fraction until ``terms``
+is read.
 """
 
 from __future__ import annotations
@@ -52,91 +58,103 @@ def tree_sort_key(tree: Tree):
     return (tree_degree(tree), json.dumps(tree_to_json(tree)))
 
 
-class LieCombo:
-    """Homogeneous rational combination of bracket trees.
+def tree_str(tree: Tree) -> str:
+    if isinstance(tree, str):
+        return tree
+    return f"[{tree_str(tree[0])},{tree_str(tree[1])}]"
 
-    terms maps tree -> nonzero Fraction.  All trees share one degree;
-    the empty combination is the zero element and reports degree None.
+
+_OWN = object()  # _new/_reduced default: keep self's degree or cap
+
+
+class _Combo:
+    """Sparse rational combination, held as one common denominator and
+    integer numerators.
+
+    den is a positive int and nums maps key -> nonzero int, with
+    gcd(den, every numerator) = 1 and den = 1 for the empty combination,
+    so equal combinations have equal fields.  ``terms`` gives the
+    coefficients as reduced Fractions.  A subclass adds one field (a degree
+    or a cap), sets it in ``_new`` and orders and labels keys for printing
+    with ``_sort_key`` and ``_label``.
     """
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("den", "nums")
 
-    def __init__(self, terms: Optional[Dict[Tree, Fraction]] = None,
-                 degree: Optional[int] = None):
-        terms = {} if terms is None else {t: as_fraction(c) for t, c in terms.items() if c != 0}
-        if terms:
-            degs = {tree_degree(t) for t in terms}
-            if len(degs) != 1:
-                raise ValueError(f"inhomogeneous combination, degrees {sorted(degs)}")
-            d = degs.pop()
-            if degree is not None and degree != d:
-                raise ValueError(f"declared degree {degree} but trees have degree {d}")
-            degree = d
-        self.terms = terms
-        self.degree = degree if terms else None
+    def __init__(self, terms: Dict):
+        coeffs = {k: as_fraction(c) for k, c in terms.items()}
+        den = self.den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {k: c.numerator * (den // c.denominator)
+                     for k, c in coeffs.items() if c}
 
     @classmethod
-    def zero(cls) -> "LieCombo":
-        return cls()
+    def zero(cls, *args):
+        """The empty combination; args as for the constructor after terms."""
+        return cls(None, *args)
 
-    @classmethod
-    def generator(cls, label: str) -> "LieCombo":
-        if not label or not isinstance(label, str):
-            raise ValueError("generator label must be a nonempty string")
-        return cls({label: Fraction(1)})
+    def _new(self, nums: Dict, den: int, extra=_OWN):
+        """nums / den, already in lowest terms, with self's degree or cap,
+        or extra in its place."""
+        raise NotImplementedError
+
+    def _reduced(self, nums: Dict, den: int, extra=_OWN):
+        """nums / den (nonzero int numerators, den > 0) with the common
+        factor of den and every numerator divided out; extra as for _new."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+        return self._new(nums, den, extra)
+
+    def _sum(self, other: "_Combo", mine, theirs, extra=_OWN):
+        """The (key, numerator) pairs mine of self plus theirs of other,
+        over the two combinations' common denominator."""
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        out = {k: n * m1 for k, n in mine}
+        for k, n in theirs:
+            s = out.get(k, 0) + n * m2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._reduced(out, self.den * m1, extra)
+
+    @property
+    def terms(self) -> Dict:
+        """key -> reduced Fraction coefficient, as a new dict."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieCombo) and self.terms == other.terms
+        return (type(other) is type(self) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
-    def __add__(self, other: "LieCombo") -> "LieCombo":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        res = LieCombo.__new__(LieCombo)
-        res.terms = out
-        res.degree = self.degree if out else None
-        return res
+    def __neg__(self):
+        return self._new({k: -n for k, n in self.nums.items()}, self.den)
 
-    def __neg__(self) -> "LieCombo":
-        res = LieCombo.__new__(LieCombo)
-        res.terms = {t: -c for t, c in self.terms.items()}
-        res.degree = self.degree if res.terms else None
-        return res
-
-    def __sub__(self, other: "LieCombo") -> "LieCombo":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "LieCombo":
+    def scale(self, c):
         c = as_fraction(c)
-        res = LieCombo.__new__(LieCombo)
-        if c == 0:
-            res.terms, res.degree = {}, None
-            return res
-        res.terms = {t: v * c for t, v in self.terms.items()}
-        res.degree = self.degree if res.terms else None
-        return res
+        if not c:
+            return self._new({}, 1)
+        p = c.numerator
+        return self._reduced({k: n * p for k, n in self.nums.items()},
+                             self.den * c.denominator)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -144,24 +162,62 @@ class LieCombo:
         return NotImplemented
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: tree_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
-        bits = []
-        for t, c in self.sorted_terms():
-            bits.append(f"{format_rational(c)}*{tree_str(t)}")
-        return " + ".join(bits)
+        return " + ".join(f"{format_rational(c)}*{self._label(k)}"
+                          for k, c in self.sorted_terms())
+
+
+class LieCombo(_Combo):
+    """Homogeneous rational combination of bracket trees (the keys).
+
+    All trees share one degree; the empty combination is the zero element
+    and reports degree None.
+    """
+
+    __slots__ = ("degree",)
+    _sort_key = staticmethod(tree_sort_key)
+    _label = staticmethod(tree_str)
+
+    def __init__(self, terms: Optional[Dict[Tree, Fraction]] = None,
+                 degree: Optional[int] = None):
+        _Combo.__init__(self, terms or {})
+        if self.nums:
+            degs = {tree_degree(t) for t in self.nums}
+            if len(degs) != 1:
+                raise ValueError(f"inhomogeneous combination, degrees {sorted(degs)}")
+            d = degs.pop()
+            if degree is not None and degree != d:
+                raise ValueError(f"declared degree {degree} but trees have degree {d}")
+            degree = d
+        self.degree = degree if self.nums else None
+
+    def _new(self, nums, den, extra=_OWN):
+        res = LieCombo.__new__(LieCombo)
+        res.den, res.nums = den, nums
+        res.degree = (self.degree if extra is _OWN else extra) if nums else None
+        return res
+
+    @classmethod
+    def generator(cls, label: str) -> "LieCombo":
+        if not label or not isinstance(label, str):
+            raise ValueError("generator label must be a nonempty string")
+        return cls({label: Fraction(1)})
+
+    def __add__(self, other: "LieCombo") -> "LieCombo":
+        if not self.nums:
+            return other
+        if not other.nums:
+            return self
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
+        return self._sum(other, self.nums.items(), other.nums.items())
 
     def __repr__(self) -> str:
-        return f"<LieCombo degree={self.degree} terms={len(self.terms)}>"
-
-
-def tree_str(tree: Tree) -> str:
-    if isinstance(tree, str):
-        return tree
-    return f"[{tree_str(tree[0])},{tree_str(tree[1])}]"
+        return f"<LieCombo degree={self.degree} terms={len(self.nums)}>"
 
 
 def bracket(a: LieCombo, b: LieCombo) -> LieCombo:
@@ -170,18 +226,12 @@ def bracket(a: LieCombo, b: LieCombo) -> LieCombo:
     Pairs of distinct trees are kept as new trees (t1, t2): no tree ever
     collides with another in the product, so no cancellation can occur here.
     """
-    if not a.terms or not b.terms:
+    if not a.nums or not b.nums:
         return LieCombo.zero()
-    out = {}
-    for t1, c1 in a.terms.items():
-        for t2, c2 in b.terms.items():
-            if t1 == t2:
-                continue
-            out[(t1, t2)] = c1 * c2
-    res = LieCombo.__new__(LieCombo)
-    res.terms = out
-    res.degree = a.degree + b.degree if out else None
-    return res
+    right = list(b.nums.items())
+    out = {(t1, t2): n1 * n2 for t1, n1 in a.nums.items()
+           for t2, n2 in right if t1 != t2}
+    return a._reduced(out, a.den * b.den, a.degree + b.degree)
 
 
 def combo_to_json(combo: LieCombo) -> list:
@@ -223,16 +273,16 @@ def _canonical_tree(tree: Tree, memo: Dict[Tree, tuple]) -> tuple:
 def canonicalize(combo: LieCombo) -> LieCombo:
     """Equivalent combination with every tree in antisymmetry-canonical
     orientation; mirrored orientations merge (and may cancel)."""
-    terms: Dict[Tree, Fraction] = {}
+    nums: Dict[Tree, int] = {}
     memo: Dict[Tree, tuple] = {}
-    for t, c in combo.terms.items():
+    for t, n in combo.nums.items():
         ct, sign, _ = _canonical_tree(t, memo)
-        s = terms.get(ct, Fraction(0)) + sign * c
+        s = nums.get(ct, 0) + sign * n
         if s:
-            terms[ct] = s
+            nums[ct] = s
         else:
-            terms.pop(ct, None)
-    return LieCombo(terms)
+            del nums[ct]
+    return combo._reduced(nums, combo.den)
 
 
 def collected_term_count(combo: LieCombo) -> int:
@@ -242,7 +292,7 @@ def collected_term_count(combo: LieCombo) -> int:
     one term (or none).  This is the representation-independent count used
     by the per-degree size checks.
     """
-    return len(canonicalize(combo).terms)
+    return len(canonicalize(combo))
 
 
 class FreeLieModule:
@@ -276,32 +326,28 @@ class FreeLieModule:
 # ---------------------------------------------------------------------------
 # Associative expansion
 
-class AssocPoly:
-    """Noncommutative polynomial: words (tuples of labels) with rational
-    coefficients, held as one common denominator and integer numerators.
-
-    den is a positive int and nums maps word -> nonzero int, with
-    gcd(den, every numerator) = 1 and den = 1 for the zero polynomial, so
-    equal polynomials have equal fields.  ``terms`` gives the coefficients
-    as reduced Fractions.  max_degree None means no truncation; otherwise
+class AssocPoly(_Combo):
+    """Noncommutative polynomial: words (tuples of labels, the keys) with
+    rational coefficients.  max_degree None means no truncation; otherwise
     words longer than max_degree are dropped by every operation.
     """
 
-    __slots__ = ("den", "nums", "max_degree")
+    __slots__ = ("max_degree",)
+    _sort_key = staticmethod(lambda w: (len(w), w))
+    _label = staticmethod(lambda w: ".".join(w) if w else "1")
 
     def __init__(self, terms: Optional[Dict[Word, Fraction]] = None,
                  max_degree: Optional[int] = None):
-        coeffs = {} if terms is None else {
-            w: as_fraction(c) for w, c in terms.items()
-            if max_degree is None or len(w) <= max_degree
-        }
-        self.den, nums = _numerators(coeffs)
-        self.nums = {w: n for w, n in nums if n}
+        _Combo.__init__(self, {} if terms is None else {
+            w: c for w, c in terms.items()
+            if max_degree is None or len(w) <= max_degree})
         self.max_degree = max_degree
 
-    @classmethod
-    def zero(cls, max_degree=None) -> "AssocPoly":
-        return cls(None, max_degree)
+    def _new(self, nums, den, extra=_OWN):
+        res = AssocPoly.__new__(AssocPoly)
+        res.den, res.nums = den, nums
+        res.max_degree = self.max_degree if extra is _OWN else extra
+        return res
 
     @classmethod
     def unit(cls, max_degree=None) -> "AssocPoly":
@@ -310,25 +356,6 @@ class AssocPoly:
     @classmethod
     def word(cls, labels, coeff=1, max_degree=None) -> "AssocPoly":
         return cls({tuple(labels): as_fraction(coeff)}, max_degree)
-
-    @property
-    def terms(self) -> Dict[Word, Fraction]:
-        """word -> reduced Fraction coefficient, as a new dict."""
-        den = self.den
-        return {w: Fraction(n, den) for w, n in self.nums.items()}
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AssocPoly) and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.nums.items())))
 
     def _cap(self, other: "AssocPoly") -> Optional[int]:
         if self.max_degree is None:
@@ -345,36 +372,8 @@ class AssocPoly:
 
     def __add__(self, other: "AssocPoly") -> "AssocPoly":
         cap = self._cap(other)
-        g = gcd(self.den, other.den)
-        m1, m2 = other.den // g, self.den // g
-        out = {w: n * m1 for w, n in self._items_within(cap)}
-        for w, n in other._items_within(cap):
-            s = out.get(w, 0) + n * m2
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return _reduced(out, self.den * m1, cap)
-
-    def __neg__(self) -> "AssocPoly":
-        return _reduced({w: -n for w, n in self.nums.items()}, self.den,
-                        self.max_degree)
-
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "AssocPoly":
-        c = as_fraction(c)
-        if not c:
-            return AssocPoly.zero(self.max_degree)
-        p = c.numerator
-        return _reduced({w: n * p for w, n in self.nums.items()},
-                        self.den * c.denominator, self.max_degree)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+        return self._sum(other, self._items_within(cap),
+                         other._items_within(cap), cap)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -390,45 +389,11 @@ class AssocPoly:
                     continue
                 w = w1 + w2
                 out[w] = out.get(w, 0) + n1 * n2
-        return _reduced({w: n for w, n in out.items() if n},
-                        self.den * other.den, cap)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        bits = []
-        for w, c in self.sorted_terms():
-            label = ".".join(w) if w else "1"
-            bits.append(f"{format_rational(c)}*{label}")
-        return " + ".join(bits)
+        return self._reduced({w: n for w, n in out.items() if n},
+                             self.den * other.den, cap)
 
     def __repr__(self) -> str:
         return f"<AssocPoly words={len(self.nums)} max_degree={self.max_degree}>"
-
-
-def _reduced(nums: Dict[Word, int], den: int,
-             max_degree: Optional[int]) -> AssocPoly:
-    """The AssocPoly nums / den (nonzero int numerators, den > 0), with the
-    common factor of den and every numerator divided out."""
-    g = gcd(den, *nums.values())
-    if g > 1:
-        den //= g
-        nums = {w: n // g for w, n in nums.items()}
-    res = AssocPoly.__new__(AssocPoly)
-    res.den, res.nums, res.max_degree = den, nums, max_degree
-    return res
-
-
-def _numerators(terms) -> Tuple[int, list]:
-    """(den, [(key, numerator)]): the lcm of the coefficients' denominators
-    (1 when there are none), and each coefficient times den as an int.
-    For reduced Fractions, den and the numerators have no common factor."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(k, c.numerator * (den // c.denominator))
-                 for k, c in terms.items()]
 
 
 _EXPAND_MEMO: Dict[Tree, Dict[Word, int]] = {}
@@ -464,12 +429,12 @@ def expand_tree(tree: Tree) -> Dict[Word, int]:
 def expand_assoc(combo: LieCombo) -> AssocPoly:
     """Associative expansion of a combination; exact, no truncation.
     Sums integer numerators over the combination's common denominator."""
-    den, numerators = _numerators(combo.terms)
     out: Dict[Word, int] = {}
-    for t, n in numerators:
+    for t, n in combo.nums.items():
         for w, cw in expand_tree(t).items():
             out[w] = out.get(w, 0) + n * cw
-    return _reduced({w: n for w, n in out.items() if n}, den, None)
+    return AssocPoly()._reduced({w: n for w, n in out.items() if n},
+                                combo.den)
 
 
 def expands_equal(a: LieCombo, b: LieCombo) -> bool:

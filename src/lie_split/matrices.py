@@ -768,8 +768,8 @@ def random_matrix(dim: int, target_norm: float, seed: int) -> np.ndarray:
     rescaled so the spectral norm hits target_norm."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if target_norm <= 0:
-        raise ValueError("target norm must be positive")
+    if not 0 < target_norm < math.inf:
+        raise ValueError(f"target norm must be positive and finite, got {target_norm}")
     rng = default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
     return a * (target_norm / np.linalg.norm(a, 2))
@@ -787,10 +787,15 @@ def frechet_pair(kit, alpha):
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     with kit.context():
-        a = kit.scalar(alpha)
-        pi, r6 = kit.scalar(mp.pi), 4 * kit.scalar(mp.sqrt(6))
-        x = kit.matrix([[0, a], [-1 / a, 0]])
-        y = kit.matrix([[0, (10 + r6) * a], [(-10 + r6) / a, 0]])
+        try:
+            a = kit.scalar(alpha)
+            pi, r6 = kit.scalar(mp.pi), 4 * kit.scalar(mp.sqrt(6))
+            x = kit.matrix([[0, a], [-1 / a, 0]])
+            y = kit.matrix([[0, (10 + r6) * a], [(-10 + r6) / a, 0]])
+        except (OverflowError, ZeroDivisionError):  # alpha out of float range
+            x = y = None
+    if x is None or not (kit.finite(x) and kit.finite(y)):
+        raise ValueError(f"alpha is outside the {kit.name} range")
     return kit.scale(pi, x), kit.scale(pi, y)
 
 
@@ -829,7 +834,13 @@ def standard_products(kit, a, b, terms: Dict[int, object],
         yield k, prod
 
 
+def _check_lam(lam):
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+
+
 def _scaled_pair(kit, x, y, lam):
+    _check_lam(lam)
     if kit.dim(x) != kit.dim(y):
         raise ValueError("dimension mismatch")
     return kit.scale(lam, x), kit.scale(lam, y)
@@ -869,6 +880,7 @@ def psi_standard(kit, x, y, lam, n: int):
 
 def splitting_error(kit, x, y, lam, approx, norm: str = "spectral"):
     """Distance from the exact exponential, in the requested norm."""
+    _check_lam(lam)
     target = kit.expm(kit.scale(lam, kit.add(x, y)))
     diff = kit.sub(target, approx)
     if norm == "spectral":

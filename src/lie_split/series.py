@@ -108,29 +108,10 @@ class TruncSeries:
     def unit(cls, algebra, order: int) -> "TruncSeries":
         return cls(algebra, [algebra.unit()], order)
 
-    @classmethod
-    def zero(cls, algebra, order: int) -> "TruncSeries":
-        return cls(algebra, [], order)
-
     def coefficient(self, power: int):
         if not (0 <= power <= self.order):
             raise ValueError(f"power {power} outside series order {self.order}")
         return self.coeffs[power]
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        add = self.algebra.add
-        return TruncSeries(self.algebra, [add(a, b) for a, b in
-                                          zip(self.coeffs, other.coeffs)],
-                           self.order)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TruncSeries":
-        return TruncSeries(self.algebra,
-                           [self.algebra.scale(c, v) for v in self.coeffs],
-                           self.order)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy product truncated at the common order: for each nonzero

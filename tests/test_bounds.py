@@ -139,6 +139,25 @@ def test_converges_inside_and_outside():
     assert converges(5.0, 0.001, 401)[0]
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (math.inf, 0.0),
+                                  (1.0, math.inf), (0.5, -1.0)])
+def test_non_finite_or_negative_norms_are_rejected(x, y):
+    """nan and inf used to leave no finite ratio, which read as 0.0 and
+    certified convergence."""
+    for call in (lambda: converges(x, y), lambda: refined_deltas(x, y),
+                 lambda: converges_many([(0.5, 0.5), (x, y)])):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_boundary_search_rejects_non_finite_norms(x):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        y_max(x)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        boundary_scan([0.5, x], mirror=True)
+
+
 def test_converges_agrees_across_depths_away_from_boundary():
     for x, y in ((0.2, 0.2), (0.6, 0.5), (1.8, 1.8), (0.001, 1.2)):
         assert converges(x, y, 201)[0] == converges(x, y, 401)[0]

@@ -73,6 +73,27 @@ def test_expand_json_is_byte_identical_to_the_golden_output(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_11_SHA256
 
 
+# sha256 of `terms` stdout as written by the Fraction-dict LieCombo that
+# the common-denominator storage replaced
+TERMS_SHA256 = [
+    (["terms", "--max-degree", "13", "--format", "json"],
+     "c3013876ff439d234075b6b0a7d26e24cb8d28ba01a6738733bfc3a31022d860"),
+    (["terms", "--max-degree", "11"],
+     "f5e647d1464bf8a463443e050cdb3d43e3e9b6c6e34249e48e57536acf7f74c0"),
+    (["terms", "--max-degree", "17", "--check-counts"],
+     "90e7bce39749114ee3790d69c02fa699d996095356a7e2710d482578c7c741f9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TERMS_SHA256,
+                         ids=["json-13", "text-11", "counts-17"])
+def test_terms_output_is_byte_identical_to_the_golden_output(
+        capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of extended --out CSVs as written while MPKit exponentiated every
 # matrix beyond 2 x 2 with mp.expm: an 8 x 8 one-sided product and a 4 x 4
 # fig2 curve, both through that path at every degree; and the 6 x 6
@@ -249,6 +270,26 @@ def test_eval_matrix_rejects_a_non_finite_csv(tmp_path, capsys):
     code, out, err = run(capsys, "eval-matrix", "--x", str(xp), "--y", str(yp))
     assert code == 1
     assert "x.csv" in err and "non-finite" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--point", "nan", "1"],
+    ["convergence", "--point", "inf", "0"],
+    ["convergence", "--scan", "0:inf:3"],
+    ["eval-matrix", "--random", "3", "--target", "inf"],
+    ["eval-matrix", "--random", "3", "--lam", "nan"],
+    ["fig2", "--norms", "nan,1", "--n-max", "5", "--dimension", "3"],
+    ["fig3", "--alpha", "1e-400"],
+    ["fig3", "--alpha", "1e400"],
+], ids=["point-nan", "point-inf", "scan-inf", "eval-target-inf",
+        "eval-lam-nan", "fig2-norm-nan", "fig3-alpha-tiny", "fig3-alpha-huge"])
+def test_non_finite_or_unrepresentable_numbers_are_rejected(
+        tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == "" and not target.exists()
 
 
 def test_eval_matrix_needs_inputs(capsys):

@@ -7,10 +7,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo, bracket,
-                               canonicalize, collected_term_count,
-                               combo_from_json, combo_to_json, expand_assoc,
-                               expands_equal, tree_degree, tree_str)
+from lie_split.cli import main
+from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo,
+                               _canonical_tree, bracket, canonicalize,
+                               collected_term_count, combo_from_json,
+                               combo_to_json, expand_assoc, expands_equal,
+                               tree_degree, tree_str)
 from lie_split.engine import oracle_symmetric_terms
 from lie_split.series import AssocPolyAlgebra
 
@@ -197,16 +199,21 @@ def assert_reduced_fractions(terms):
     assert all(type(c) is Fraction and c for c in terms.values())
 
 
-def assert_canonical(poly):
-    """One denominator and integer numerators in lowest terms."""
-    assert type(poly.den) is int and poly.den >= 1
-    assert all(type(n) is int and n for n in poly.nums.values())
-    assert gcd(poly.den, *poly.nums.values()) == 1
-    if not poly.nums:
-        assert poly.den == 1
-    if poly.max_degree is not None:
-        assert all(len(w) <= poly.max_degree for w in poly.nums)
-    assert_reduced_fractions(poly.terms)
+def assert_canonical(combo):
+    """One denominator and integer numerators in lowest terms; a LieCombo's
+    trees all of its degree, which is None when it is empty."""
+    assert type(combo.den) is int and combo.den >= 1
+    assert all(type(n) is int and n for n in combo.nums.values())
+    assert gcd(combo.den, *combo.nums.values()) == 1
+    if not combo.nums:
+        assert combo.den == 1
+    if isinstance(combo, LieCombo):
+        assert {tree_degree(t) for t in combo.nums} == (
+            {combo.degree} if combo.nums else set())
+        assert combo.nums or combo.degree is None
+    elif combo.max_degree is not None:
+        assert all(len(w) <= combo.max_degree for w in combo.nums)
+    assert_reduced_fractions(combo.terms)
 
 
 # one letter gives many colliding (and cancelling) products of words
@@ -363,6 +370,135 @@ def test_assoc_add_drops_words_beyond_the_smaller_cap():
 
 
 # ---------------------------------------------------------------------------
+# LieCombo on the shared common-denominator storage against the Fraction-dict
+# LieCombo it replaced
+
+def fraction_lie_add(a, b, sign=1):
+    out = dict(a.terms)
+    for t, c in b.terms.items():
+        s = out.get(t, 0) + sign * c
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return out
+
+
+def fraction_bracket(a, b):
+    return {(t1, t2): c1 * c2 for t1, c1 in a.terms.items()
+            for t2, c2 in b.terms.items() if t1 != t2}
+
+
+def fraction_canonicalize(combo):
+    out, memo = {}, {}
+    for t, c in combo.terms.items():
+        ct, sign, _ = _canonical_tree(t, memo)
+        s = out.get(ct, Fraction(0)) + sign * c
+        if s:
+            out[ct] = s
+        else:
+            out.pop(ct, None)
+    return out
+
+
+def trees_of_degree(d):
+    if d == 1:
+        return st.sampled_from("XY")
+    return st.integers(1, d - 1).flatmap(lambda i: st.tuples(
+        trees_of_degree(i), trees_of_degree(d - i)))
+
+
+def built_combos(d):
+    """Degree-d combinations from Fraction, int and string coefficients."""
+    return st.dictionaries(trees_of_degree(d), coeffs | st.integers(-3, 3)
+                           | coeffs.map(str), max_size=5).map(LieCombo)
+
+
+def any_combos(d):
+    return combos_of_degree(d) | built_combos(d)
+
+
+same_degree_pairs = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(any_combos(d), any_combos(d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_degree_pairs)
+def test_lie_add_sub_and_neg_match_the_fraction_loop(pair):
+    a, b = pair
+    for got, want in ((a + b, fraction_lie_add(a, b)),
+                      (a - b, fraction_lie_add(a, b, -1)),
+                      (a - a, {}),
+                      (-a, {t: -c for t, c in a.terms.items()})):
+        assert got.terms == want
+        assert_canonical(got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(any_combos),
+       st.integers(-6, 6) | coeffs | st.just(Fraction(0)))
+def test_lie_scale_matches_the_fraction_loop(a, c):
+    want = {t: v * c for t, v in a.terms.items()} if c else {}
+    for got in (a.scale(c), c * a, FreeLieModule.scale(c, a)):
+        assert got.terms == want
+        assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(any_combos),
+       st.integers(1, 3).flatmap(any_combos))
+def test_bracket_matches_the_fraction_loop(a, b):
+    for x, y in ((a, b), (b, a), (a, a), (a, a + b if a.degree == b.degree
+                                          else a)):
+        got = bracket(x, y)
+        assert got.terms == fraction_bracket(x, y)
+        assert_canonical(got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 4).flatmap(any_combos), coeffs)
+def test_canonicalize_matches_the_fraction_loop(a, c):
+    # mirrored trees merge, and cancel where c is -1
+    for combo in (a, a + mirror(a).scale(c), a - mirror(a)):
+        got = canonicalize(combo)
+        assert got.terms == fraction_canonicalize(combo)
+        assert collected_term_count(combo) == len(got.terms)
+        assert_canonical(got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(same_degree_pairs)
+def test_lie_equality_and_hash_agree_across_constructions(pair):
+    a, b = pair
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    back = (a + b) - b
+    assert back == a and hash(back) == hash(a)
+    for rebuilt in (LieCombo(a.terms), LieCombo(a.terms, a.degree),
+                    combo_from_json(combo_to_json(a)),
+                    a.scale(3).scale(Fraction(1, 3)), -(-a)):
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        assert rebuilt.degree == a.degree
+    assert a - a == LieCombo.zero() and hash(a - a) == hash(LieCombo.zero())
+    assert a != expand_assoc(a)
+
+
+def test_lie_combo_keeps_one_reduced_denominator():
+    half = bracket(X, Y).scale(Fraction(1, 2))
+    third = bracket(Y, X).scale(Fraction(2, 6))
+    both = half + third
+    assert (both.den, both.nums) == (6, {("X", "Y"): 3, ("Y", "X"): 2})
+    assert both.degree == 2 and len(both) == 2
+    # [X/2 + Y, X]: the pair (X, X) drops, and 1 * 1 over 1 stays
+    got = bracket(X.scale(Fraction(1, 2)) + Y, X)
+    assert (got.den, got.nums, got.degree) == (1, {("Y", "X"): 1}, 2)
+    assert str(both) == "1/2*[X,Y] + 1/3*[Y,X]"
+    with pytest.raises(ValueError):
+        X + bracket(X, Y)
+    with pytest.raises(ValueError):
+        LieCombo({"X": 1, ("X", "Y"): 1})
+
+
+# ---------------------------------------------------------------------------
 # Series-peeling oracle: pinned output and its Fraction count
 
 ORACLE_PAIRS = ((Fraction(1), Fraction(1, 3)),
@@ -390,12 +526,24 @@ def test_series_oracle_matches_its_golden_dump():
         ORACLE_12_SHA256
 
 
+def fractions_built(fn, *args):
+    """Fraction objects constructed while fn(*args) runs."""
+    prof = cProfile.Profile()
+    prof.runcall(fn, *args)
+    return sum(calls for (path, _, name), (_, calls, *_) in
+               pstats.Stats(prof).stats.items()
+               if path.endswith("fractions.py") and name == "__new__")
+
+
 def test_series_oracle_builds_few_fractions():
     """The oracle's sums and products stay on ints: the Fraction-dict
     storage built 420,648 Fractions in this call."""
-    prof = cProfile.Profile()
-    prof.runcall(oracle_12, *ORACLE_PAIRS[1])
-    built = sum(calls for (path, _, name), (_, calls, *_) in
-                pstats.Stats(prof).stats.items()
-                if path.endswith("fractions.py") and name == "__new__")
-    assert 0 < built <= 1000
+    assert 0 < fractions_built(oracle_12, *ORACLE_PAIRS[1]) <= 1000
+
+
+def test_term_recursion_builds_few_fractions(capsys):
+    """The symbolic recursion and the collected counts stay on ints: the
+    Fraction-dict LieCombo built 98,789 Fractions in this call."""
+    argv = ["terms", "--max-degree", "15", "--check-counts"]
+    assert 0 < fractions_built(main, argv) <= 1000
+    assert "degree 15: 2106" in capsys.readouterr().out

@@ -132,6 +132,34 @@ def test_random_matrix_is_seeded_and_scaled():
     assert abs(np.linalg.norm(a, 2) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0, math.inf, math.nan])
+def test_random_matrix_rejects_target_norms_out_of_range(target):
+    with pytest.raises(ValueError, match="positive and finite"):
+        random_matrix(3, target, 0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_is_rejected(lam):
+    kit = NumpyKit()
+    x, y = random_matrix(3, 0.5, 0), random_matrix(3, 0.5, 1)
+    for call in (lambda: psi_symmetric(kit, x, y, lam, 5),
+                 lambda: psi_standard(kit, x, y, lam, 5),
+                 lambda: splitting_error(kit, x, y, lam, np.eye(3))):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 10 ** 400), Fraction(10 ** 400),
+                                   Fraction(1, 10 ** 310)])
+def test_frechet_pair_rejects_alpha_outside_the_double_range(alpha):
+    """1e-400 rounds to 0.0 (division by zero), 1e400 overflows the float
+    conversion and 1e-310 leaves an infinite entry 1/alpha."""
+    with pytest.raises(ValueError, match="outside the double range"):
+        frechet_pair(NumpyKit(), alpha)
+    x, y = frechet_pair(MPKit(), alpha)
+    assert MPKit().finite(x) and MPKit().finite(y)
+
+
 def test_frechet_pair_identities():
     kit = NumpyKit()
     x, y = frechet_pair(kit, 0.2)
