@@ -22,14 +22,17 @@ and delta_k reads only their sum, so one summed row S carries the bounds:
 The row always lives in log space (the factorial seeds leave the double
 range from depth ~170 on), with np.logaddexp as the only kernel, and it is
 batched over points: one recursion advances a (P, depth) array of rows.
-The search for the domain boundary runs every point in lockstep, one batched
-recursion per round of doubling or bisection.
+The search for the domain boundary keeps the result of doubling and
+bisection, but runs every point in lockstep and evaluates few probes: each
+round guesses where every point's bisection ends and puts the guessed end
+probes of all points into one batched recursion; the verdicts they imply
+settle most of the bisection's probes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ import numpy as np
 # doubling from y = 1 lands on it exactly.
 Y_CAP = 8.0
 _TAIL = 10  # ratios averaged for the limit estimate
+_NOISE = 1e-9  # log-ratio differences this small may be rounding error
 
 
 def _log_factorials(top: int) -> np.ndarray:
@@ -122,38 +126,108 @@ def _tail_ratios(xs: Sequence[float], ys: Sequence[float],
     return [_tail_ratio(row) for row in logs]
 
 
+def _bisection(known, tol: float) -> Tuple[float, float, Optional[float]]:
+    """Walk the boundary search's probe sequence: y doubles from 1 while the
+    probe converges and y <= Y_CAP, then bisects until hi - lo <= tol or no
+    float lies between lo and hi.
+
+    known(probe) gives each verdict: True, False, or None when unknown, which
+    stops the walk.  Returns (lo, hi, probe), with probe the first unknown
+    one, or None when the walk has ended; lo is then the search's result.
+    """
+    lo, hi, doubling = 0.0, 1.0, True
+    while True:
+        if doubling:
+            probe = hi
+            if probe > Y_CAP:
+                return lo, hi, None
+        else:
+            probe = 0.5 * (lo + hi)
+            if not (hi - lo > tol and lo < probe < hi):
+                return lo, hi, None
+        ok = known(probe)
+        if ok is None:
+            return lo, hi, probe
+        if ok:
+            lo, hi = probe, 2.0 * probe if doubling else hi
+        else:
+            hi, doubling = probe, False
+
+
+def _root_guess(points: List[Tuple[float, float]]) -> float:
+    """y where log r reaches 0 on the secant of log r against log y through
+    the last of points, each (y, r), and the latest earlier one whose log r
+    differs from it by more than _NOISE (closer ones give a slope made of
+    rounding error); on the line of slope one through the last point where
+    none does.  Guesses above 2 Y_CAP come back as 2 Y_CAP: they all
+    predict the same walk."""
+    ly, lr = math.log(points[-1][0]), _log(points[-1][1])
+    slope = 1.0
+    for y, r in reversed(points[:-1]):
+        dy, dr = ly - math.log(y), lr - _log(r)
+        if dy != 0 and abs(dr) > _NOISE and math.isfinite(dr):
+            slope = dr / dy
+            break
+    return math.exp(min(ly - lr / slope, math.log(2.0 * Y_CAP)))
+
+
 def _y_max_search(fixed: Sequence[float], swapped: Sequence[bool],
                   depth: int, tol: float) -> np.ndarray:
     """Largest y (within tol) with (x, y) certified, or (y, x) where swapped,
-    for every fixed coordinate x.
+    for every fixed coordinate x: lo at the end of the walk in _bisection.
 
-    Each point doubles y from 1 while the probe converges and y <= Y_CAP,
-    then bisects until hi - lo <= tol or no float lies between them; all
-    points advance in lockstep, one batched recursion per round over the
-    probes of the points still searching. A point that reaches the cap ends
+    The verdicts of the walk are mostly inferred, not computed.  Bisection
+    already assumes that the verdict is monotone in y; so is it taken here:
+    a probe at or below one that converged converges, and a probe at or
+    above one that failed fails.  Each round, every unfinished point
+    replays its walk from those verdicts and guesses its boundary, from the
+    secant of log r against log y through its last evaluated probes (see
+    _root_guess; regula falsi on its bracket where the secant leaves it and
+    both ends are evaluated).  It then walks as if the guess were the boundary and
+    evaluates where that walk ends, its lo and hi.  A probe left pending by
+    two rounds in a row is evaluated itself, so no point takes more than
+    twice the rounds of plain bisection.  The probes of all points go into
+    one batched recursion per round.  A point that reaches the cap ends
     with lo == Y_CAP.
     """
-    fixed = np.asarray(fixed, dtype=float)
-    swapped = np.asarray(swapped, dtype=bool)
-    lo = np.zeros(len(fixed))
-    hi = np.ones(len(fixed))
-    doubling = np.ones(len(fixed), dtype=bool)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
+    seen = [{} for _ in fixed]      # probe y -> tail ratio, in probe order
+    stalled = [None] * len(fixed)   # the probe left pending by the last round
     while True:
-        mid = 0.5 * (lo + hi)
-        active = np.where(doubling, hi <= Y_CAP,
-                          (hi - lo > tol) & (lo < mid) & (mid < hi))
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            return lo
-        probe = np.where(doubling, hi, mid)[idx]
-        xs = np.where(swapped[idx], probe, fixed[idx])
-        ys = np.where(swapped[idx], fixed[idx], probe)
-        ok = np.array(_tail_ratios(xs.tolist(), ys.tolist(), depth)) < 1.0
-        grow = doubling[idx]
-        lo[idx] = np.where(ok, probe, lo[idx])
-        hi[idx] = np.where(grow & ok, 2.0 * probe,
-                           np.where(ok, hi[idx], probe))
-        doubling[idx] = grow & ok
+        batch, result = [], []
+        for i, ratios in enumerate(seen):
+            good = max((y for y, r in ratios.items() if r < 1.0), default=0.0)
+            bad = min((y for y, r in ratios.items() if r >= 1.0),
+                      default=math.inf)
+
+            def known(p):
+                return True if p <= good else False if p >= bad else None
+            lo, _, pending = _bisection(known, tol)
+            result.append(lo)
+            if pending is None:
+                continue
+            probes = [pending] if pending == stalled[i] or not ratios else []
+            stalled[i] = pending
+            if ratios:
+                guess = _root_guess(list(ratios.items()))
+                if not good < guess < bad and {good, bad} <= ratios.keys():
+                    guess = _root_guess([(good, ratios[good]),
+                                         (bad, ratios[bad])])
+
+                def predicted(p):
+                    ok = known(p)
+                    return p < guess if ok is None else ok
+                probes += [p for p in _bisection(predicted, tol)[:2]
+                           if known(p) is None and p <= Y_CAP
+                           and p not in probes]
+            batch += [(i, p) for p in probes]
+        if not batch:
+            return np.array(result)
+        xs = [probe if swapped[i] else fixed[i] for i, probe in batch]
+        ys = [fixed[i] if swapped[i] else probe for i, probe in batch]
+        for (i, probe), ratio in zip(batch, _tail_ratios(xs, ys, depth)):
+            seen[i][probe] = ratio
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +259,8 @@ def refined_deltas(x: float, y: float, depth: int = 401) -> np.ndarray:
 def converges_many(points: Sequence[Tuple[float, float]],
                    depth: int = 401) -> List[Tuple[bool, float]]:
     """converges() for every (x, y) in points, in one batched recursion."""
+    if not points:
+        return []
     xs, ys = zip(*points)
     return [(ratio < 1.0, ratio) for ratio in _tail_ratios(xs, ys, depth)]
 
@@ -194,6 +270,12 @@ def converges(x: float, y: float, depth: int = 401) -> Tuple[bool, float]:
 
     Returns (verdict, ratio_tail): the geometric mean of the last ten ratios
     delta_{k+2}/delta_k; the verdict is ratio_tail < 1.
+
+    "Certified" holds only at this depth: the ratios still rise with k, so
+    the tail estimate is low and the verdict can turn false deeper down;
+    converges(0.001, 1.538) is (True, 0.9983) at depth 401 and
+    (False, 1.0022) at 1601.  A depth-independent verdict is direction 4 of
+    ROADMAP.md.
     """
     return converges_many([(x, y)], depth)[0]
 
@@ -201,7 +283,11 @@ def converges(x: float, y: float, depth: int = 401) -> Tuple[bool, float]:
 def y_max(x: float, depth: int = 401, tol: float = 1e-3) -> float:
     """Largest y (within tol) with a certified-convergent (x, y), by
     doubling then bisection.  (x, 0) always converges.  The search stops at
-    Y_CAP: a return value equal to Y_CAP means (x, Y_CAP) still converges."""
+    Y_CAP: a return value equal to Y_CAP means (x, Y_CAP) still converges.
+
+    The bound inherits the depth drift of converges(): with tol 1e-4,
+    y_max(0.001) is 1.5882 / 1.5524 / 1.5393 / 1.5363 at depth
+    41 / 101 / 401 / 1601 (direction 4 of ROADMAP.md)."""
     return float(_y_max_search([x], [False], depth, tol)[0])
 
 
@@ -212,7 +298,8 @@ def boundary_scan(x_values: Sequence[float], depth: int = 401,
     With mirror=True each row takes the larger of the direct bound and the
     bound of the role-swapped splitting (largest y with (y, x) certified),
     i.e. the union of the domain with its reflection.  A row equal to Y_CAP
-    hit the cap.  All searches, direct and swapped, run in lockstep.
+    hit the cap.  All searches, direct and swapped, run in lockstep.  Rows
+    move inward as the depth grows, as y_max() does.
     """
     xs = [float(x) for x in x_values]
     n = len(xs)

@@ -1,7 +1,11 @@
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_split import bounds
 from lie_split.bounds import (Y_CAP, boundary_scan, converges, converges_many,
@@ -41,7 +45,8 @@ def _reference_refined_seeds(x, y, top):
     return main, tilde
 
 
-def _reference_y_max(x, depth, swapped):
+@functools.lru_cache(maxsize=None)
+def _reference_y_max(x, depth, swapped, tol=1e-3):
     """Scalar doubling then bisection over converges(), point by point."""
     def ok(v):
         return converges(v, x, depth)[0] if swapped else converges(x, v, depth)[0]
@@ -50,8 +55,10 @@ def _reference_y_max(x, depth, swapped):
         lo, hi = hi, 2.0 * hi
     if hi > Y_CAP:
         return lo
-    while hi - lo > 1e-3:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if ok(mid):
             lo = mid
         else:
@@ -225,7 +232,50 @@ def test_boundary_scan_matches_pointwise_search():
         (x, max(d, s)) for x, d, s in zip(xs, direct, swapped)]
 
 
-def test_mirrored_scan_runs_few_batched_recursions(monkeypatch):
+@pytest.mark.parametrize("depth", [41, 201])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 0.0])
+def test_search_replays_pointwise_bisection(depth, tol):
+    # x = 0: the swapped branch reaches the cap; x = 2: it ends at 0, so the
+    # bisection runs down to the smallest float when tol = 0
+    xs = (0.0, 1.1, 2.0)
+    direct = [_reference_y_max(x, depth, False, tol) for x in xs]
+    swapped = [_reference_y_max(x, depth, True, tol) for x in xs]
+    assert swapped[0] == Y_CAP and swapped[2] == 0.0 < swapped[1]
+    assert [y_max(x, depth, tol) for x in xs] == direct
+    assert bounds._y_max_search(xs, [True] * 3, depth, tol).tolist() == swapped
+    assert boundary_scan(xs, depth, tol) == list(zip(xs, direct))
+    assert boundary_scan(xs, depth, tol, mirror=True) == [
+        (x, max(d, s)) for x, d, s in zip(xs, direct, swapped)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 4.0))
+def test_search_replays_pointwise_bisection_anywhere(x):
+    want = [_reference_y_max(x, 41, False), _reference_y_max(x, 41, True)]
+    assert bounds._y_max_search([x, x], [False, True], 41, 1e-3).tolist() == want
+
+
+def test_scan_reproduces_recorded_benchmark_boundary():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    recorded = json.loads(path.read_text())["boundary_y_max"]
+    xs = [j * 0.05 for j in range(1, 41)]
+    rows = boundary_scan(xs, 401, tol=1e-3, mirror=True)
+    assert [ym for _, ym in rows] == [recorded[str(j)] for j in range(1, 41)]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+def test_boundary_search_rejects_bad_tolerance(tol):
+    """hi - lo > nan is false, so a nan tolerance used to skip the
+    bisection and return the first failed doubling's lower end."""
+    with pytest.raises(ValueError, match="tol must be finite"):
+        y_max(0.5, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        boundary_scan([0.5], tol=tol, mirror=True)
+
+
+@pytest.fixture
+def recursions(monkeypatch):
+    """Rows of every batched bound recursion run while the test runs."""
     calls = []
     inner = bounds._log_deltas
 
@@ -234,13 +284,40 @@ def test_mirrored_scan_runs_few_batched_recursions(monkeypatch):
         return inner(rows, depth)
 
     monkeypatch.setattr(bounds, "_log_deltas", counted)
+    return calls
+
+
+def test_mirrored_scan_runs_few_batched_recursions(recursions):
     rows = boundary_scan(np.linspace(0.05, 1.8, 8), 401, mirror=True)
     assert len(rows) == 8
-    assert len(calls) <= 20
-    assert max(calls) == 16
+    assert len(recursions) <= 8
+    assert sum(recursions) <= 120
+    assert max(recursions) <= 48
+
+
+@pytest.mark.parametrize("guess", [0.0, 2.0 * Y_CAP])
+def test_wrong_guesses_cost_at_most_twice_plain_bisection(
+        recursions, monkeypatch, guess):
+    # y_max(0.5) lies in (1, 2): plain search probes 1, 2, then bisects a
+    # unit interval down to tol 1e-3 in 10 steps, 12 rounds in all
+    want = _reference_y_max(0.5, 41, False)
+    recursions.clear()
+    monkeypatch.setattr(bounds, "_root_guess", lambda points: guess)
+    assert y_max(0.5, 41) == want
+    assert len(recursions) <= 2 * 12
+
+
+def test_axis_search_runs_few_recursions(recursions):
+    assert y_max(0.001, 401) == 1.5390625
+    assert len(recursions) <= 4
+    assert sum(recursions) <= 8
 
 
 def test_converges_many_matches_single_points():
     points = [(0.5, 0.5), (2.5, 2.5), (5.0, 0.001), (0.0, 0.0)]
     assert converges_many(points, 41) == [converges(x, y, 41)
                                           for x, y in points]
+
+
+def test_converges_many_of_no_points_is_empty():
+    assert converges_many([]) == []
