@@ -270,70 +270,50 @@ def _diff(label: str, expected, computed) -> str:
     return f"{label}: expected {expected}, computed {computed}"
 
 
+# (algebra, pair, collapse direction, top degree, closed form of 2 m_k at
+# k = 2j + 1, as a function of j)
+_EXAMPLES = (
+    ("solvable3", ("X", "Y"), "Y", 7,
+     lambda j: UniPoly.monomial(Fraction(1, 4 ** j * factorial(2 * j + 1)),
+                                j)),
+    ("oscillator4", ("X", "W"), "X", 9,
+     lambda j: UniPoly.monomial(
+         Fraction(-2 * j, 4 ** j * factorial(2 * j + 1)), 2 * j)),
+)
+
+
 def run_examples() -> List[ExampleCheck]:
     """Exact coefficient checks for the two bundled algebras.
 
-    solvable3, pair (X, Y): every term is a multiple of Y with
-    m_3 = t/48, m_5 = t^2/3840, m_7 = t^3/645120, and 1 + 2*sum(m_k)
-    matches the series of (2/sqrt(t))*sinh(sqrt(t)/2), whose coefficients
-    1/(4^j (2j+1)!) are computed here independently.
+    In both, every term C_k is a multiple m_k of one basis element, so the
+    middle product collapses to exp(2 sum(m_k) e_v).  Each 2 m_k is
+    compared, as a whole polynomial, with its closed form:
 
-    oscillator4, pair (X, W): every term is a multiple of X and the doubled
-    middle series 2*sum(m_k) has coefficients -1/12, -1/480, -1/53760,
-    -1/11612160 at t^2, t^4, t^6, t^8.
+    solvable3, pair (X, Y), direction Y: 2 m_k = t^j / (4^j k!), so
+    1 + 2 sum(m_k) is the series of (2/sqrt(t)) sinh(sqrt(t)/2)
+    (m_3 = t/48, m_5 = t^2/3840, m_7 = t^3/645120).
+
+    oscillator4, pair (X, W), direction X: 2 m_k = -2j t^(2j) / (4^j k!),
+    that is -1/12, -1/480, -1/53760, -1/11612160 at t^2, t^4, t^6, t^8.
     """
     checks = []
-
-    alg = bundled_algebra("solvable3")
-    terms = symmetric_terms(ScModule(alg), alg.basis_element("X"),
-                            alg.basis_element("Y"), 7)
-    hit = collapse_middle(alg, terms)
-    diffs: List[str] = []
-    if hit is None:
-        diffs.append(_diff("collapse direction", "Y", "no common direction"))
-    else:
-        v, series = hit
-        if alg.labels[v] != "Y":
-            diffs.append(_diff("collapse direction", "Y", alg.labels[v]))
-        expected = {3: UniPoly.monomial(Fraction(1, 48), 1),
-                    5: UniPoly.monomial(Fraction(1, 3840), 2),
-                    7: UniPoly.monomial(Fraction(1, 645120), 3)}
-        for k in sorted(expected):
-            if series.get(k) != expected[k]:
-                diffs.append(_diff(f"m_{k}", expected[k], series.get(k)))
-        middle = UniPoly.one()
-        for k in series:
-            middle = middle + series[k].scale(2)
-        sinh_series = UniPoly([Fraction(1, 4 ** j * factorial(2 * j + 1))
-                               for j in range(4)])
-        if middle != sinh_series:
-            diffs.append(_diff("1 + 2*sum(m_k)", sinh_series, middle))
-    checks.append(ExampleCheck("solvable3", not diffs, tuple(diffs)))
-
-    alg = bundled_algebra("oscillator4")
-    terms = symmetric_terms(ScModule(alg), alg.basis_element("X"),
-                            alg.basis_element("W"), 9)
-    hit = collapse_middle(alg, terms)
-    diffs = []
-    if hit is None:
-        diffs.append(_diff("collapse direction", "X", "no common direction"))
-    else:
-        v, series = hit
-        if alg.labels[v] != "X":
-            diffs.append(_diff("collapse direction", "X", alg.labels[v]))
-        doubled = UniPoly.zero()
-        for k in series:
-            doubled = doubled + series[k].scale(2)
-        expected_coeffs = {2: Fraction(-1, 12), 4: Fraction(-1, 480),
-                           6: Fraction(-1, 53760), 8: Fraction(-1, 11612160)}
-        for exp in sorted(expected_coeffs):
-            got = doubled.coefficient(exp)
-            if got != expected_coeffs[exp]:
-                diffs.append(_diff(f"d coefficient at t^{exp}",
-                                   expected_coeffs[exp], got))
-        stray = [e for e, c in enumerate(doubled.coeffs)
-                 if c != 0 and e not in expected_coeffs]
-        if stray:
-            diffs.append(_diff("extra nonzero exponents", "()", tuple(stray)))
-    checks.append(ExampleCheck("oscillator4", not diffs, tuple(diffs)))
+    for name, (x, y), direction, top, closed_form in _EXAMPLES:
+        alg = bundled_algebra(name)
+        terms = symmetric_terms(ScModule(alg), alg.basis_element(x),
+                                alg.basis_element(y), top)
+        hit = collapse_middle(alg, terms)
+        if hit is None:
+            diffs = [_diff("collapse direction", direction,
+                           "no common direction")]
+        else:
+            v, series = hit
+            diffs = []
+            if alg.labels[v] != direction:
+                diffs.append(_diff("collapse direction", direction,
+                                   alg.labels[v]))
+            for k in sorted(series):
+                expected, computed = closed_form(k // 2), series[k].scale(2)
+                if computed != expected:
+                    diffs.append(_diff(f"2 m_{k}", expected, computed))
+        checks.append(ExampleCheck(name, not diffs, tuple(diffs)))
     return checks

@@ -12,20 +12,19 @@ into noncommutative words ([a, b] -> ab - ba) and comparing the resulting
 associative polynomials, which are a faithful representation.
 
 Both kinds of combination, tree combinations (LieCombo) and word
-polynomials (AssocPoly), share one storage and one arithmetic (_Combo): a
-reduced common denominator and integer numerators, so sums, scalings,
-brackets and products run on ints and build no Fraction until ``terms``
-is read.
+polynomials (AssocPoly), are the exact combination of ``scalars._Combo``
+(which ``scalars.UniPoly`` shares): a reduced common denominator and
+integer numerators, so sums, scalings, brackets and products run on ints
+and build no Fraction until ``terms`` is read.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Dict, Optional, Tuple, Union
 
-from .scalars import as_fraction, format_rational
+from .scalars import _OWN, _Combo, as_fraction, format_rational
 
 Tree = Union[str, Tuple["Tree", "Tree"]]
 Word = Tuple[str, ...]
@@ -62,113 +61,6 @@ def tree_str(tree: Tree) -> str:
     if isinstance(tree, str):
         return tree
     return f"[{tree_str(tree[0])},{tree_str(tree[1])}]"
-
-
-_OWN = object()  # _new/_reduced default: keep self's degree or cap
-
-
-class _Combo:
-    """Sparse rational combination, held as one common denominator and
-    integer numerators.
-
-    den is a positive int and nums maps key -> nonzero int, with
-    gcd(den, every numerator) = 1 and den = 1 for the empty combination,
-    so equal combinations have equal fields.  ``terms`` gives the
-    coefficients as reduced Fractions.  A subclass adds one field (a degree
-    or a cap), sets it in ``_new`` and orders and labels keys for printing
-    with ``_sort_key`` and ``_label``.
-    """
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, terms: Dict):
-        coeffs = {k: as_fraction(c) for k, c in terms.items()}
-        den = self.den = lcm(*(c.denominator for c in coeffs.values()))
-        self.nums = {k: c.numerator * (den // c.denominator)
-                     for k, c in coeffs.items() if c}
-
-    @classmethod
-    def zero(cls, *args):
-        """The empty combination; args as for the constructor after terms."""
-        return cls(None, *args)
-
-    def _new(self, nums: Dict, den: int, extra=_OWN):
-        """nums / den, already in lowest terms, with self's degree or cap,
-        or extra in its place."""
-        raise NotImplementedError
-
-    def _reduced(self, nums: Dict, den: int, extra=_OWN):
-        """nums / den (nonzero int numerators, den > 0) with the common
-        factor of den and every numerator divided out; extra as for _new."""
-        g = gcd(den, *nums.values())
-        if g > 1:
-            den //= g
-            nums = {k: n // g for k, n in nums.items()}
-        return self._new(nums, den, extra)
-
-    def _sum(self, other: "_Combo", mine, theirs, extra=_OWN):
-        """The (key, numerator) pairs mine of self plus theirs of other,
-        over the two combinations' common denominator."""
-        g = gcd(self.den, other.den)
-        m1, m2 = other.den // g, self.den // g
-        out = {k: n * m1 for k, n in mine}
-        for k, n in theirs:
-            s = out.get(k, 0) + n * m2
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return self._reduced(out, self.den * m1, extra)
-
-    @property
-    def terms(self) -> Dict:
-        """key -> reduced Fraction coefficient, as a new dict."""
-        den = self.den
-        return {k: Fraction(n, den) for k, n in self.nums.items()}
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.nums.items())))
-
-    def __neg__(self):
-        return self._new({k: -n for k, n in self.nums.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        if not c:
-            return self._new({}, 1)
-        p = c.numerator
-        return self._reduced({k: n * p for k, n in self.nums.items()},
-                             self.den * c.denominator)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-
-    def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        return " + ".join(f"{format_rational(c)}*{self._label(k)}"
-                          for k, c in self.sorted_terms())
 
 
 class LieCombo(_Combo):
@@ -263,10 +155,11 @@ def _canonical_tree(tree: Tree, memo: Dict[Tree, tuple]) -> tuple:
     right, sr, kr = _canonical_tree(tree[1], memo)
     sign = sl * sr
     if kl > kr:
-        left, right = right, left
+        left, right, kl, kr = right, left, kr, kl
         sign = -sign
-    canon = (left, right)
-    out = memo[tree] = (canon, sign, tree_sort_key(canon))
+    # tree_sort_key of (left, right), from the children's keys
+    key = (kl[0] + kr[0], f"[{kl[1]}, {kr[1]}]")
+    out = memo[tree] = ((left, right), sign, key)
     return out
 
 

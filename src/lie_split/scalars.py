@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals and univariate polynomials over them.
+"""Exact scalar arithmetic: rationals, sparse combinations, polynomials.
 
 Rational numbers are stdlib ``fractions.Fraction`` values, which already
 guarantee the canonical form we rely on everywhere (lowest terms, positive
@@ -6,16 +6,21 @@ denominator, arbitrary precision).  ``str()`` of a Fraction is exactly the
 ``p/q`` (or ``p`` when the denominator is 1) wire format used in all JSON and
 CSV output, and ``Fraction(text)`` parses it back.
 
-``UniPoly`` is a dense polynomial in one formal variable, written ``t`` in
-serialized form.  It is the coefficient type used when Lie brackets carry a
-free parameter (structure constants like [X,Z] = t*Y).
+``_Combo`` is the one exact combination of the symbolic types: rationals
+on sparse keys, held as a reduced common denominator over integer
+numerators.  Bracket trees (``freelie.LieCombo``), words
+(``freelie.AssocPoly``) and exponents (``UniPoly``, a polynomial in one
+formal variable written ``t``) are its keys.  ``UniPoly`` is the
+coefficient type used when Lie brackets carry a free parameter (structure
+constants like [X,Z] = t*Y).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -57,133 +62,194 @@ def parse_coefficient(text: str) -> "UniPoly":
     return UniPoly.monomial(rat, exp)
 
 
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+_OWN = object()  # _new/_reduced default: keep self's degree or cap
 
-    Invariant: ``coeffs`` never has a trailing zero, so equal polynomials
-    compare equal structurally and ``degree`` is well defined (the zero
-    polynomial reports degree -1).
+
+class _Combo:
+    """Sparse rational combination, held as one common denominator and
+    integer numerators.
+
+    den is a positive int and nums maps key -> nonzero int, with
+    gcd(den, every numerator) = 1 and den = 1 for the empty combination,
+    so equal combinations have equal fields.  ``terms`` gives the
+    coefficients as reduced Fractions.  A subclass builds results in
+    ``_new`` (setting its degree or cap, if it has one) and orders and
+    labels keys for printing with ``_sort_key`` and ``_label``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, terms: Dict):
+        coeffs = {k: as_fraction(c) for k, c in terms.items()}
+        den = self.den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {k: c.numerator * (den // c.denominator)
+                     for k, c in coeffs.items() if c}
 
     @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
+    def zero(cls, *args):
+        """The empty combination; args as for the constructor after terms."""
+        return cls(None, *args)
+
+    def _new(self, nums: Dict, den: int, extra=_OWN):
+        """nums / den, already in lowest terms, with self's degree or cap,
+        or extra in its place."""
+        raise NotImplementedError
+
+    def _reduced(self, nums: Dict, den: int, extra=_OWN):
+        """nums / den (nonzero int numerators, den > 0) with the common
+        factor of den and every numerator divided out; extra as for _new."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+        return self._new(nums, den, extra)
+
+    def _sum(self, other: "_Combo", mine, theirs, extra=_OWN):
+        """The (key, numerator) pairs mine of self plus theirs of other,
+        over the two combinations' common denominator."""
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        out = {k: n * m1 for k, n in mine}
+        for k, n in theirs:
+            s = out.get(k, 0) + n * m2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._reduced(out, self.den * m1, extra)
+
+    @property
+    def terms(self) -> Dict:
+        """key -> reduced Fraction coefficient, as a new dict."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
+    def __neg__(self):
+        return self._new({k: -n for k, n in self.nums.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_fraction(c)
+        if not c:
+            return self._new({}, 1)
+        p = c.numerator
+        return self._reduced({k: n * p for k, n in self.nums.items()},
+                             self.den * c.denominator)
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def __str__(self) -> str:
+        if not self.nums:
+            return "0"
+        return " + ".join(f"{format_rational(c)}*{self._label(k)}"
+                          for k, c in self.sorted_terms())
+
+
+class UniPoly(_Combo):
+    """Univariate polynomial with rational coefficients, keyed by exponent.
+
+    Built from the coefficients of t^0, t^1, ...; zero coefficients are not
+    stored, so the zero polynomial has no keys and reports degree -1.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        _Combo.__init__(self, dict(enumerate(coeffs or ())))
+
+    def _new(self, nums, den, extra=_OWN):
+        res = UniPoly.__new__(UniPoly)
+        res.den, res.nums = den, nums
+        return res
 
     @classmethod
     def one(cls) -> "UniPoly":
-        return cls((1,))
+        return cls.monomial(1, 0)
 
     @classmethod
     def constant(cls, c) -> "UniPoly":
-        return cls((as_fraction(c),))
+        return cls.monomial(c, 0)
 
     @classmethod
     def monomial(cls, c, exp: int) -> "UniPoly":
         if exp < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return cls((0,) * exp + (as_fraction(c),))
+        return cls((0,) * exp + (c,))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.nums, default=-1)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def coefficient(self, exp: int) -> Fraction:
+        return Fraction(self.nums.get(exp, 0), self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        if not self.nums:
+            return other
+        if not other.nums:
+            return self
+        return self._sum(other, self.nums.items(), other.nums.items())
 
     def __mul__(self, other):
+        """Cauchy product on the integer numerators; a rational scales."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
+        right = list(other.nums.items())
+        out: Dict[int, int] = {}
+        for i, a in self.nums.items():
+            for j, b in right:
+                out[i + j] = out.get(i + j, 0) + a * b
+        return self._reduced({e: n for e, n in out.items() if n},
+                             self.den * other.den)
 
-    def __rmul__(self, other):
+    def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+            other = UniPoly.constant(other)
+        return _Combo.__eq__(self, other)
 
-    def scale(self, c) -> "UniPoly":
-        c = as_fraction(c)
-        if c == 0:
-            return UniPoly()
-        return UniPoly(a * c for a in self.coeffs)
-
-    def coefficient(self, exp: int) -> Fraction:
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
-        return Fraction(0)
+    __hash__ = _Combo.__hash__
 
     def __call__(self, value):
         """Evaluate with Horner's rule; value may be Fraction, float, mpf."""
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = c + 0 * value
-            else:
-                acc = acc * value + c
-        if acc is None:
-            return 0 * value
+        acc = 0 * value
+        for exp in range(self.degree, -1, -1):
+            acc = acc * value + self.coefficient(exp)
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
-        parts = []
-        for exp, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if exp == 0:
-                parts.append(format_rational(c))
-            elif exp == 1:
-                parts.append(f"{format_rational(c)} t")
-            else:
-                parts.append(f"{format_rational(c)} t^{exp}")
-        return " + ".join(parts)
+        return " + ".join(
+            format_rational(c) + ("" if e == 0 else " t" if e == 1
+                                  else f" t^{e}")
+            for e, c in sorted(self.terms.items()))
 
     def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)!r})"
+        dense = [self.coefficient(e) for e in range(self.degree + 1)]
+        return f"UniPoly({dense!r})"

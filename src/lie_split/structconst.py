@@ -32,8 +32,12 @@ from .scalars import UniPoly, parse_coefficient
 
 
 def _as_unipoly(c) -> UniPoly:
+    """A UniPoly as given, a rational as a constant, or a coefficient
+    literal like '1 t' parsed."""
     if isinstance(c, UniPoly):
         return c
+    if isinstance(c, str):
+        return parse_coefficient(c)
     return UniPoly.constant(c)
 
 
@@ -78,8 +82,7 @@ class ScElement:
 
     def scale(self, c) -> "ScElement":
         """Scale by a rational or by a UniPoly."""
-        p = _as_unipoly(c)
-        return ScElement(a * p for a in self.coeffs)
+        return ScElement(a * c for a in self.coeffs)
 
     def evaluate(self, value) -> tuple:
         """Numeric coordinates at a concrete parameter value."""
@@ -157,7 +160,7 @@ class StructureConstantAlgebra:
             for lab, c in rhs.items():
                 if lab not in index:
                     raise ValueError(f"unknown basis label {lab!r}")
-                p = parse_coefficient(c) if isinstance(c, str) else _as_unipoly(c)
+                p = _as_unipoly(c)
                 tensor[i][j][index[lab]] = p
                 tensor[j][i][index[lab]] = -p
         return cls(labels, tensor)
@@ -180,8 +183,7 @@ class StructureConstantAlgebra:
         """Element from {label: coeff}, coeff as in ``from_brackets``."""
         coeffs = [UniPoly.zero()] * self.dim
         for lab, c in parts.items():
-            p = parse_coefficient(c) if isinstance(c, str) else _as_unipoly(c)
-            coeffs[self.index(lab)] = coeffs[self.index(lab)] + p
+            coeffs[self.index(lab)] = coeffs[self.index(lab)] + _as_unipoly(c)
         return ScElement(coeffs)
 
     def bracket(self, u: ScElement, v: ScElement) -> ScElement:

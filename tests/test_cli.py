@@ -85,9 +85,28 @@ TERMS_SHA256 = [
 ]
 
 
+# sha256 of `structconst` stdout for the two bundled pairs, as written by
+# the dense Fraction-tuple UniPoly that the shared exact combination replaced
+STRUCTCONST_SHA256 = [
+    (["structconst", "solvable3", "--pair", "X,Y", "--max-degree", "51"],
+     "d28752d7ddf023d2ab67220fd38153b908b219401520bad9e41cf4841e2a9fff"),
+    (["structconst", "oscillator4", "--pair", "X,W", "--max-degree", "51"],
+     "cea5d5181c408eb5bdf5b024350db8be266fd81e685b573a48b69516d11f8ae1"),
+]
+
+
 @pytest.mark.parametrize("argv, digest", TERMS_SHA256,
                          ids=["json-13", "text-11", "counts-17"])
 def test_terms_output_is_byte_identical_to_the_golden_output(
+        capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", STRUCTCONST_SHA256,
+                         ids=["solvable3-51", "oscillator4-51"])
+def test_structconst_output_is_byte_identical_to_the_golden_output(
         capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lie_split import __version__
+from lie_split import __version__, experiments
 from lie_split.experiments import (DEFAULT_LAM_GRID, DEFAULT_X_GRID,
                                    ErrorCurve, boundary_csv_lines, csv_header,
                                    fig2_csv_lines, fig3_csv_lines,
@@ -179,3 +179,15 @@ def test_run_examples_all_pass():
     for check in checks:
         assert check.ok, check.diffs
         assert not check.diffs
+
+
+def test_run_examples_reports_a_wrong_closed_form(monkeypatch):
+    name, pair, direction, top, closed_form = experiments._EXAMPLES[0]
+    wrong = (name, pair, direction, top,
+             lambda j: closed_form(j).scale(2) if j == 2 else closed_form(j))
+    monkeypatch.setattr(experiments, "_EXAMPLES",
+                        (wrong,) + experiments._EXAMPLES[1:])
+    bad, good = run_examples()
+    assert not bad.ok
+    assert bad.diffs == ("2 m_5: expected 1/960 t^2, computed 1/1920 t^2",)
+    assert good.ok and not good.diffs

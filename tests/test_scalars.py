@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
+from lie_split.freelie import AssocPoly, LieCombo
 from lie_split.scalars import (UniPoly, as_fraction, format_rational,
                                parse_coefficient)
 
@@ -87,3 +89,35 @@ def test_unipoly_str_shows_powers():
     q = UniPoly([Fraction(1), Fraction(0), Fraction(-1, 2)])
     s = str(q)
     assert "t^2" in s and "1" in s
+
+
+@given(polys, polys)
+def test_equal_unipolys_have_equal_fields_and_hash(a, b):
+    p, q = a + b, b + a
+    assert p == q
+    assert (p.den, p.nums) == (q.den, q.nums)
+    assert hash(p) == hash(q)
+
+
+def test_zero_combinations_of_different_kinds_differ():
+    zeros = [UniPoly.zero(), AssocPoly.zero(), LieCombo.zero()]
+    assert len({(z.den, tuple(z.nums)) for z in zeros}) == 1
+    for i, a in enumerate(zeros):
+        for b in zeros[i + 1:]:
+            assert a != b and b != a
+
+
+def test_unipoly_compares_with_rationals_as_constants():
+    assert UniPoly.constant(3) == 3
+    assert UniPoly.constant(Fraction(1, 2)) == Fraction(1, 2)
+    assert UniPoly.monomial(3, 2) != 3
+    assert UniPoly.zero() == 0
+
+
+def test_unipoly_evaluates_at_mpf_to_mpf():
+    p = UniPoly([Fraction(1), Fraction(-2), Fraction(3)])  # 1 - 2t + 3t^2
+    with mp.workdps(30):
+        value = p(mpf("0.5"))
+        assert isinstance(value, mpf)
+        assert value == mpf("0.75")
+        assert isinstance(UniPoly.zero()(mpf(2)), mpf)

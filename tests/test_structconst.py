@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,23 @@ def test_sc_module_runs_generic_engine():
     direction, ms = collapsed
     assert algebra.labels[direction] == "X"
     assert ms[3] == UniPoly.monomial(Fraction(-1, 24), 2)
+
+
+# sha256 of the formatted terms of an sl2 algebra whose bracket and pair carry
+# t, so that coordinates are multi-term polynomials, as written by the dense
+# Fraction-tuple UniPoly that the shared exact combination replaced
+SL2_TERMS_SHA256 = (
+    "2ae90dbae8b535a48694eadcf72d7cc66c1c148f177ad046dfc80ee4b1eabf82")
+
+
+def test_sl2_polynomial_terms_format_like_the_golden_output():
+    algebra = StructureConstantAlgebra.from_brackets(
+        ("H", "E", "F"), {("H", "E"): {"E": 2}, ("H", "F"): {"F": -2},
+                          ("E", "F"): {"H": "1 t"}})
+    x = algebra.element({"H": 1, "E": "1 t"})
+    y = algebra.element({"F": 1, "E": "1/2"})
+    terms = symmetric_terms(ScModule(algebra), x, y, 9)
+    text = "\n".join(f"C[{k}] = {algebra.format(terms[k])}"
+                     for k in sorted(terms))
+    assert "(1/24 + -1/24 t^2 + -1/24 t^3) * E" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == SL2_TERMS_SHA256
