@@ -9,7 +9,10 @@ structurally identical trees, which is unambiguous.
 
 Mathematical equality of two combinations is decided by expanding brackets
 into noncommutative words ([a, b] -> ab - ba) and comparing the resulting
-associative polynomials, which are a faithful representation.
+associative polynomials, which are a faithful representation.  Expansion
+uses bilinearity: the brackets of a combination that share a child expand
+as one bracket of that child with the collected other side, and the words
+of each subtree are kept only for the one ``expand_assoc`` call.
 
 Both kinds of combination, tree combinations (LieCombo) and word
 polynomials (AssocPoly), are the exact combination of ``scalars._Combo``
@@ -179,12 +182,11 @@ def canonicalize(combo: LieCombo) -> LieCombo:
 
 
 def collected_term_count(combo: LieCombo) -> int:
-    """Number of independent terms, counted modulo antisymmetry orientation.
-
-    Structural storage can hold both [A,B] and [B,A]; as elements these are
-    one term (or none).  This is the representation-independent count used
-    by the per-degree size checks.
-    """
+    """Number of distinct trees modulo orientation: [A,B] and [B,A] merge
+    (and may cancel), being one term (or none) as elements.  No Jacobi
+    relation is applied, so this is not a count of independent terms (C_9
+    gives 54, against 56 nonzero Lyndon coordinates); it is the count the
+    per-degree size checks pin."""
     return len(canonicalize(combo))
 
 
@@ -289,45 +291,55 @@ class AssocPoly(_Combo):
         return f"<AssocPoly words={len(self.nums)} max_degree={self.max_degree}>"
 
 
-_EXPAND_MEMO: Dict[Tree, Dict[Word, int]] = {}
-_EXPAND_MEMO_MAX_DEGREE = 10  # bound memo memory; bigger trees expand ad hoc
+def _words(nums: Dict[Tree, int], memo: Dict[Tree, Dict[Word, int]]
+           ) -> Dict[Word, int]:
+    """Words of sum n*tree over nums, integer coefficients, zeros dropped.
 
-
-def expand_tree(tree: Tree) -> Dict[Word, int]:
-    """Words of [l, r] -> lr - rl, recursively, with their integer
-    coefficients (zeros dropped).  For a bracket of degree at most
-    _EXPAND_MEMO_MAX_DEGREE this is the shared memo dict itself: callers
-    must not mutate it."""
-    if isinstance(tree, str):
-        return {(tree,): 1}
-    cached = _EXPAND_MEMO.get(tree)
-    if cached is not None:
-        return cached
-    left = expand_tree(tree[0])
-    right = expand_tree(tree[1])
-    acc: Dict[Word, int] = {}
-    for wl, cl in left.items():
-        for wr, cr in right.items():
-            c = cl * cr
-            w = wl + wr
-            acc[w] = acc.get(w, 0) + c
-            w = wr + wl
-            acc[w] = acc.get(w, 0) - c
-    out = {w: c for w, c in acc.items() if c}
-    if tree_degree(tree) <= _EXPAND_MEMO_MAX_DEGREE:
-        _EXPAND_MEMO[tree] = out
+    By bilinearity sum_i n_i [L, R_i] = [L, sum_i n_i R_i]: brackets are
+    grouped on the side with fewer distinct children, and each group is one
+    commutator of that child's words with the other side's, collected and
+    expanded the same way.  memo holds the words of each single tree and
+    returns them as is: callers must not mutate them."""
+    if len(nums) == 1:
+        [(one, n)] = nums.items()
+        if n != 1:
+            return {w: n * c for w, c in _words({one: 1}, memo).items()}
+        if one in memo:
+            return memo[one]
+    out: Dict[Word, int] = {}
+    by_left: Dict[Tree, Dict[Tree, int]] = {}
+    by_right: Dict[Tree, Dict[Tree, int]] = {}
+    for tree, n in nums.items():
+        if isinstance(tree, str):
+            out[(tree,)] = n
+        else:
+            by_left.setdefault(tree[0], {})[tree[1]] = n
+            by_right.setdefault(tree[1], {})[tree[0]] = n
+    if len(by_left) <= len(by_right):
+        pairs = ((_words({child: 1}, memo), _words(rights, memo))
+                 for child, rights in by_left.items())
+    else:
+        pairs = ((_words(lefts, memo), _words({child: 1}, memo))
+                 for child, lefts in by_right.items())
+    for left, right in pairs:
+        for wl, cl in left.items():
+            for wr, cr in right.items():
+                c = cl * cr
+                w = wl + wr
+                out[w] = out.get(w, 0) + c
+                w = wr + wl
+                out[w] = out.get(w, 0) - c
+    out = {w: c for w, c in out.items() if c}
+    if len(nums) == 1:
+        memo[one] = out
     return out
 
 
 def expand_assoc(combo: LieCombo) -> AssocPoly:
     """Associative expansion of a combination; exact, no truncation.
-    Sums integer numerators over the combination's common denominator."""
-    out: Dict[Word, int] = {}
-    for t, n in combo.nums.items():
-        for w, cw in expand_tree(t).items():
-            out[w] = out.get(w, 0) + n * cw
-    return AssocPoly()._reduced({w: n for w, n in out.items() if n},
-                                combo.den)
+    [l, r] -> lr - rl on integer numerators over the common denominator,
+    grouped by shared children (_words), with a memo for this call only."""
+    return AssocPoly()._reduced(_words(combo.nums, {}), combo.den)
 
 
 def expands_equal(a: LieCombo, b: LieCombo) -> bool:

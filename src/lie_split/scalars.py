@@ -233,7 +233,9 @@ class UniPoly(_Combo):
             other = UniPoly.constant(other)
         return _Combo.__eq__(self, other)
 
-    __hash__ = _Combo.__hash__
+    def __hash__(self):  # a constant equals, so hashes as, its Fraction
+        return (hash(self.coefficient(0)) if self.degree <= 0
+                else _Combo.__hash__(self))
 
     def __call__(self, value):
         """Evaluate with Horner's rule; value may be Fraction, float, mpf."""

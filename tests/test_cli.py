@@ -73,6 +73,20 @@ def test_expand_json_is_byte_identical_to_the_golden_output(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_11_SHA256
 
 
+# sha256 of `expand --max-degree 13 --format json` on stdout, as written by
+# the tree-by-tree expansion with a module-level memo that the grouped
+# expansion replaced; the benchmark's expand job writes this output
+EXPAND_13_SHA256 = (
+    "34e2b3e045447a202610200fe9928e0698e9b776b6fab161cd762381a60c6ea2")
+
+
+def test_expand_13_json_is_byte_identical_to_the_golden_output(capsys):
+    code, out, _ = run(capsys, "expand", "--max-degree", "13", "--format",
+                       "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_13_SHA256
+
+
 # sha256 of `terms` stdout as written by the Fraction-dict LieCombo that
 # the common-denominator storage replaced
 TERMS_SHA256 = [

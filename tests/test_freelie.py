@@ -13,7 +13,7 @@ from lie_split.freelie import (AssocPoly, FreeLieModule, LieCombo,
                                collected_term_count, combo_from_json,
                                combo_to_json, expand_assoc, expands_equal,
                                tree_degree, tree_str)
-from lie_split.engine import oracle_symmetric_terms
+from lie_split.engine import oracle_symmetric_terms, symmetric_terms
 from lie_split.series import AssocPolyAlgebra
 
 X = LieCombo.generator("X")
@@ -246,6 +246,67 @@ def test_expand_assoc_cancels_to_the_zero_polynomial(combo):
 def test_expand_assoc_of_zero_is_empty():
     got = expand_assoc(LieCombo.zero())
     assert got.terms == {} and got.max_degree is None
+
+
+# ---------------------------------------------------------------------------
+# Grouped expansion: brackets collected on a shared child expand as one
+
+A, B = ("X", "Y"), ("Y", ("X", "Y"))
+
+
+@pytest.fixture(scope="module")
+def terms_to_11():
+    return symmetric_terms(FreeLieModule(), X, Y, 11)
+
+
+def test_expand_assoc_of_the_terms_matches_the_fraction_loop(terms_to_11):
+    for k in range(3, 12):
+        combo = terms_to_11.get(k, LieCombo.zero())
+        got = expand_assoc(combo)
+        assert got.terms == fraction_expand(combo), k
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("terms", [
+    # one left child, many rights: [A, sum n_i R_i]
+    {(A, ("X", A)): 1, (A, ("Y", A)): Fraction(-2, 3), (A, (A, "X")): 5},
+    # many lefts, one right child: [sum n_i L_i, B]
+    {(("X", A), B): Fraction(1, 2), (("Y", A), B): 3, ((A, "Y"), B): -7,
+     ((("Y", "X"), "Y"), B): 1},
+    # both shapes in one combination, with a left child that is also a right
+    {(A, ("X", B)): 2, (A, (B, "Y")): -1, (("X", B), A): 4, ((B, "X"), A): 1},
+], ids=["by-left", "by-right", "mixed"])
+def test_grouped_expansion_matches_tree_by_tree(terms):
+    combo = LieCombo(terms)
+    got = expand_assoc(combo)
+    assert got.terms == fraction_expand(combo)
+    by_tree = sum((expand_assoc(LieCombo({t: c})) for t, c in terms.items()),
+                  AssocPoly.zero())
+    assert got == by_tree
+    assert_canonical(got)
+
+
+def test_expand_assoc_of_generators_only():
+    got = expand_assoc(X.scale(2) + Y.scale(Fraction(-1, 3)))
+    assert got.terms == {("X",): 2, ("Y",): Fraction(-1, 3)}
+    assert got.den == 3 and got.nums == {("X",): 6, ("Y",): -1}
+
+
+def test_expand_assoc_of_a_term_plus_its_mirror_is_zero(terms_to_11):
+    combo = terms_to_11[9]
+    got = expand_assoc(combo + mirror(combo))
+    assert got.is_zero() and got == AssocPoly.zero()
+    assert got.den == 1 and got.max_degree is None
+
+
+def test_mutating_a_result_leaves_later_expansions_alone():
+    inner, outer = bracket(X, Y), bracket(X, bracket(X, Y))
+    for combo in (X, inner, outer):
+        expand_assoc(combo).nums.clear()
+        first = expand_assoc(inner)
+        first.nums[("X", "X")] = 7
+        assert expand_assoc(combo).terms == fraction_expand(combo)
+        assert expand_assoc(inner).terms == {("X", "Y"): 1, ("Y", "X"): -1}
 
 
 @settings(max_examples=150, deadline=None)

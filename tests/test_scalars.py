@@ -121,3 +121,56 @@ def test_unipoly_evaluates_at_mpf_to_mpf():
         assert isinstance(value, mpf)
         assert value == mpf("0.75")
         assert isinstance(UniPoly.zero()(mpf(2)), mpf)
+
+
+# Hash contract: values that compare equal hash equal, so set and dict
+# lookups find them from either side.
+def _equal_pairs():
+    x = LieCombo.generator("X")
+    half = Fraction(1, 2)
+    return [
+        (UniPoly.constant(3), 3),
+        (UniPoly.constant(3), Fraction(3)),
+        (UniPoly.constant(half), half),
+        (UniPoly([half, 0, 0]), half),
+        (UniPoly.zero(), 0),
+        (UniPoly.zero(), Fraction(0)),
+        (UniPoly.one(), 1),
+        (UniPoly.one(), True),
+        (UniPoly([1, 2]) * UniPoly([1, -2]), UniPoly([1, 0, -4])),
+        (UniPoly.monomial(half, 2), UniPoly([0, 0, half])),
+        (x.scale(half) + x.scale(half), x),
+        (LieCombo({("X", "Y"): half}), LieCombo({("X", "Y"): "2/4"})),
+        (AssocPoly.word("XY", half) + AssocPoly.word("XY", half),
+         AssocPoly.word("XY")),
+        (AssocPoly.unit(), AssocPoly({(): Fraction(2, 2)})),
+    ]
+
+
+@pytest.mark.parametrize("a, b", _equal_pairs())
+def test_equal_values_hash_equal_and_find_each_other_in_sets(a, b):
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert b in {a} and a in {b}
+    assert {a: "found"}[b] == "found" and {b: "found"}[a] == "found"
+
+
+@pytest.mark.parametrize("a, b", [
+    (UniPoly.monomial(3, 1), 3),
+    (UniPoly([3, 1]), 3),
+    (LieCombo.zero(), 0),
+    (AssocPoly.zero(), 0),
+    (AssocPoly.unit(), 1),
+    (LieCombo.generator("X"), AssocPoly.word("X")),
+])
+def test_unequal_values_are_not_found_in_each_others_sets(a, b):
+    assert a != b and b != a
+    assert b not in {a} and a not in {b}
+
+
+@given(polys, rationals)
+def test_unipoly_hash_agrees_with_equality_against_rationals(p, q):
+    if p == q:
+        assert hash(p) == hash(q) and q in {p} and p in {q}
+    c = UniPoly.constant(q)
+    assert c == q and hash(c) == hash(q)
