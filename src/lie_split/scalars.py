@@ -233,7 +233,7 @@ class UniPoly(_Combo):
             other = UniPoly.constant(other)
         return _Combo.__eq__(self, other)
 
-    def __hash__(self):  # a constant equals, so hashes as, its Fraction
+    def __hash__(self):  # a constant hashes like the Fraction it equals
         return (hash(self.coefficient(0)) if self.degree <= 0
                 else _Combo.__hash__(self))
 
