@@ -168,9 +168,8 @@ def test_unequal_values_are_not_found_in_each_others_sets(a, b):
     assert b not in {a} and a not in {b}
 
 
-@given(polys, rationals)
-def test_unipoly_hash_agrees_with_equality_against_rationals(p, q):
-    if p == q:
-        assert hash(p) == hash(q) and q in {p} and p in {q}
+@given(rationals)
+def test_a_constant_unipoly_hashes_like_its_rational(q):
     c = UniPoly.constant(q)
     assert c == q and hash(c) == hash(q)
+    assert q in {c} and c in {q}
